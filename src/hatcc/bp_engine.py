@@ -13,7 +13,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .factor_graph import FactorGraph, Semiring, validate_strict
+from .factor_graph import FactorGraph, validate_strict
+from .trees import UnionFind, bfs, calibrate
 
 
 class Direction(enum.Enum):
@@ -203,21 +204,18 @@ def run(graph: FactorGraph, max_iters: int = 200,
 def beliefs(graph: FactorGraph,
             m: MessageState) -> tuple[list[np.ndarray], list[int]]:
     """Per-variable normalized beliefs and the ids with all-zero belief."""
-    if graph.semiring not in ("sum_product", "max_product"):
-        raise ValueError("beliefs require sum_product or max_product")
     sr = graph.ops
+    if not sr.supports_division:
+        raise ValueError("beliefs require sum_product or max_product")
     out: list[np.ndarray] = []
     degenerate: list[int] = []
     for v in graph.variables:
         b = np.full(v.cardinality, sr.one)
         for f in graph.var_neighbors(v.id):
             b = sr.mul(b, m[HalfEdge(f, v.id, Direction.FAC_TO_VAR)])
-        total = b.sum() if graph.semiring == "sum_product" else b.max()
-        if total > 0.0:
-            b = b / total
-        else:
+        if np.all(sr.is_zero(b)):
             degenerate.append(v.id)
-        out.append(b)
+        out.append(sr.normalize(b))
     return out, degenerate
 
 
@@ -258,38 +256,17 @@ def gauge_propagate(graph: FactorGraph, k: Gauge) -> Gauge:
 # Tree schedules and exact tree inference
 # ---------------------------------------------------------------------------
 
-def _bipartite_adjacency(graph: FactorGraph):
-    """Nodes ('v', id) / ('f', id) with sorted neighbor lists."""
-    adj: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for v in graph.variables:
-        adj[("v", v.id)] = []
-    for f in graph.factors:
-        adj[("f", f.id)] = []
-        for v in f.scope:
-            adj[("f", f.id)].append(("v", v))
-            adj[("v", v)].append(("f", f.id))
-    for node in adj:
-        adj[node].sort()
-    return adj
+def _incidence(graph: FactorGraph) -> list[tuple[int, int, tuple[int]]]:
+    """Bipartite edges ``(f, m + v, (v,))``: factor f is node f and
+    variable v is node m + v, where m is the factor count."""
+    m = len(graph.factors)
+    return [(f.id, m + v, (v,)) for f in graph.factors for v in f.scope]
 
 
 def is_bipartite_forest(graph: FactorGraph) -> bool:
     """True iff the bipartite variable/factor graph is acyclic."""
-    parent = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    for f in graph.factors:
-        for v in f.scope:
-            a, b = find(("f", f.id)), find(("v", v))
-            if a == b:
-                return False
-            parent[a] = b
-    return True
+    uf = UnionFind()
+    return all(uf.union(f, node) for f, node, _sep in _incidence(graph))
 
 
 def tree_schedule(graph: FactorGraph) -> list[HalfEdge]:
@@ -300,108 +277,44 @@ def tree_schedule(graph: FactorGraph) -> list[HalfEdge]:
     """
     if not is_bipartite_forest(graph):
         raise ValueError("tree_schedule requires an acyclic factor graph")
-    adj = _bipartite_adjacency(graph)
-    visited = set()
-    schedule_up: list[HalfEdge] = []
-    schedule_down: list[HalfEdge] = []
-    for root in sorted(adj):
-        if root in visited:
-            continue
-        order = [root]
-        visited.add(root)
-        parent_of = {root: None}
-        i = 0
-        while i < len(order):
-            node = order[i]
-            i += 1
-            for nb in adj[node]:
-                if nb not in visited:
-                    visited.add(nb)
-                    parent_of[nb] = node
-                    order.append(nb)
-        for node in reversed(order):
-            par = parent_of[node]
-            if par is None:
-                continue
-            schedule_up.append(_edge_between(node, par))
-        for node in order:
-            par = parent_of[node]
-            if par is None:
-                continue
-            schedule_down.append(_edge_between(par, node))
-    return schedule_up + schedule_down
+    m = len(graph.factors)
+    adj: list[list] = [[] for _ in range(m + len(graph.variables))]
+    for f, node, (v,) in _incidence(graph):
+        adj[f].append((node, (f, v)))
+        adj[node].append((f, (f, v)))
 
+    def half_edge(src: int, label: tuple[int, int]) -> HalfEdge:
+        return HalfEdge(*label, Direction.FAC_TO_VAR if src < m
+                        else Direction.VAR_TO_FAC)
 
-def _edge_between(src, dst) -> HalfEdge:
-    if src[0] == "v":
-        return HalfEdge(dst[1], src[1], Direction.VAR_TO_FAC)
-    return HalfEdge(src[1], dst[1], Direction.FAC_TO_VAR)
+    tree = [t for t in bfs(adj, range(len(adj))) if t[1] is not None]
+    return ([half_edge(node, label) for node, _par, label in reversed(tree)]
+            + [half_edge(par, label) for _node, par, label in tree])
 
 
 def run_tree_exact(graph: FactorGraph):
-    """Two-pass unnormalized BP on an acyclic graph.
+    """Exact beliefs and Z on an acyclic factor graph.
 
-    Returns (normalized beliefs, Z, messages).  Z is the semiring total:
-    the sum of joint weights under sum-product, the best weight under
-    max-product, combined multiplicatively across components.
+    Calibrates the bipartite forest: one cluster per factor holding its
+    table and one per variable holding ``sr.one``, joined along the
+    incidence with separator ``(v,)``.  Returns (normalized beliefs, Z,
+    ids of variables with all-zero belief).  Z is the semiring total over
+    all joint states: the sum of weights under sum-product, the best
+    weight under max-product, the least energy under min-sum.
     """
     validate_strict(graph)
-    sched = tree_schedule(graph)
-    m = init_messages(graph, "ones")
-    m = step_scheduled(graph, m, sched)
-    bel_raw: list[np.ndarray] = []
+    if not is_bipartite_forest(graph):
+        raise ValueError("run_tree_exact requires an acyclic factor graph")
     sr = graph.ops
-    for v in graph.variables:
-        b = np.full(v.cardinality, sr.one)
-        for f in graph.var_neighbors(v.id):
-            b = sr.mul(b, m[HalfEdge(f, v.id, Direction.FAC_TO_VAR)])
-        bel_raw.append(b)
-    # one Z contribution per bipartite component, read at its representative
-    comp = _component_reps(graph)
-    Z = 1.0
-    for rep in comp:
-        if rep[0] == "v":
-            vec = bel_raw[rep[1]]
-        else:
-            # factor-only component: an empty-scope constant factor
-            f = graph.factors[rep[1]]
-            vec = graph.factor_nd(f).ravel()
-        total = vec.sum() if graph.semiring == "sum_product" else (
-            vec.min() if graph.semiring == "min_sum" else vec.max())
-        Z = Z * total if graph.semiring != "min_sum" else Z + total
-    bel = []
-    degenerate = []
-    for v, b in zip(graph.variables, bel_raw):
-        total = b.sum() if graph.semiring == "sum_product" else b.max()
-        if total > 0.0:
-            bel.append(b / total)
-        else:
-            bel.append(b)
-            degenerate.append(v.id)
-    return bel, float(Z), m, degenerate
-
-
-def _component_reps(graph: FactorGraph):
-    """Smallest node of each bipartite component, variables preferred."""
-    parent = {}
-
-    def find(x):
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    nodes = [("f", f.id) for f in graph.factors]
-    nodes += [("v", v.id) for v in graph.variables]
-    for f in graph.factors:
-        for v in f.scope:
-            a, b = find(("f", f.id)), find(("v", v))
-            if a != b:
-                parent[a] = b
-    groups: dict[tuple, list] = {}
-    for node in nodes:
-        groups.setdefault(find(node), []).append(node)
-    return [min(g, key=lambda t: (t[0] != "v", t[1]))
-            for g in groups.values()]
+    m = len(graph.factors)
+    scopes = [f.scope for f in graph.factors]
+    scopes += [(v.id,) for v in graph.variables]
+    tables = [graph.factor_nd(f) for f in graph.factors]
+    tables += [np.full(v.cardinality, sr.one) for v in graph.variables]
+    bel, roots = calibrate(sr, scopes, tables, _incidence(graph))
+    Z = sr.one
+    for r in roots:
+        Z = sr.mul(Z, sr.add_reduce(bel[r], None))
+    degenerate = [v.id for v in graph.variables
+                  if np.all(sr.is_zero(bel[m + v.id]))]
+    return [sr.normalize(b) for b in bel[m:]], float(Z), degenerate

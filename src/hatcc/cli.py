@@ -1,17 +1,14 @@
 """Command-line entry point: gen | infer | diagnose | sweep | compare.
 
 Exit codes: 0 for completed runs (UNSAT and non-convergence are results,
-not failures), 1 for internal errors, 2 for usage errors.  Sweeps honor
-the HATCC_THREADS environment variable.
+not failures), 1 for internal errors, 2 for usage errors.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -190,12 +187,7 @@ def cmd_sweep(args) -> int:
              for eps in eps_values
              for seed in range(args.seeds)
              for method in methods]
-    threads = int(os.environ.get("HATCC_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_sweep_one, tasks))
-    else:
-        rows = [_sweep_one(t) for t in tasks]
+    rows = [_sweep_one(t) for t in tasks]
     rows.sort(key=lambda r: (r["eps"], r["seed"], r["method"]))
     fields = sorted(set().union(*[set(r) for r in rows]))
     out = open(args.out, "w", newline="") if args.out else sys.stdout

@@ -9,6 +9,7 @@ is an UNSAT certificate, returned as a result rather than raised.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -20,6 +21,7 @@ from .factor_graph import (FactorDecl, FactorGraph, PotentialSlice, Semiring,
 from .holonomy import (ChordReport, HolonomyMatrix, HolonomyReport,
                        ModeQuotient, diagnose, report_to_json_dict)
 from .nerve import NerveEdge
+from .trees import calibrate
 
 
 # ---------------------------------------------------------------------------
@@ -85,31 +87,15 @@ def build_selector(graph: FactorGraph, chord: NerveEdge, H: HolonomyMatrix,
 
 def _check_running_intersection(scopes: Sequence[Sequence[int]],
                                 edges: Sequence[ClusterEdge]) -> list[int]:
-    """Variables whose clusters do not form a connected subtree."""
-    holders: dict[int, list[int]] = {}
-    for ci, scope in enumerate(scopes):
-        for v in scope:
-            holders.setdefault(v, []).append(ci)
-    adj: dict[int, list[int]] = {}
-    for e in edges:
-        adj.setdefault(e.a, []).append(e.b)
-        adj.setdefault(e.b, []).append(e.a)
-    bad = []
-    for v, clusters in holders.items():
-        if len(clusters) == 1:
-            continue
-        members = set(clusters)
-        seen = {clusters[0]}
-        frontier = [clusters[0]]
-        while frontier:
-            c = frontier.pop()
-            for nb in adj.get(c, []):
-                if nb in members and nb not in seen:
-                    seen.add(nb)
-                    frontier.append(nb)
-        if seen != members:
-            bad.append(v)
-    return sorted(bad)
+    """Variables whose clusters do not form a connected subtree.
+
+    In a forest, the k clusters holding v are connected exactly when
+    k - 1 edges join two of them.
+    """
+    holders = Counter(v for scope in scopes for v in scope)
+    joins = Counter(v for e in edges
+                    for v in set(scopes[e.a]) & set(scopes[e.b]))
+    return sorted(v for v, k in holders.items() if joins[v] != k - 1)
 
 
 def augment(graph: FactorGraph,
@@ -162,18 +148,6 @@ def augment(graph: FactorGraph,
 # Cluster-tree message passing
 # ---------------------------------------------------------------------------
 
-def _mul_into(sr: Semiring, table: np.ndarray, scope: tuple[int, ...],
-              msg: PotentialSlice) -> np.ndarray:
-    """Multiply a smaller-scope slice into a cluster table, broadcasting."""
-    positions = [scope.index(v) for v in msg.scope]
-    perm = sorted(range(len(positions)), key=lambda i: positions[i])
-    aligned = np.transpose(msg.table, perm)
-    shape = [1] * len(scope)
-    for i in perm:
-        shape[positions[i]] = msg.table.shape[i]
-    return sr.mul(table, aligned.reshape(shape))
-
-
 @dataclass(frozen=True)
 class ClusterTreeResult:
     beliefs: tuple[PotentialSlice, ...]  # unnormalized, one per cluster
@@ -191,64 +165,15 @@ def cluster_tree_propagate(compiled: CompiledModel) -> ClusterTreeResult:
     g = compiled.graph
     sr = g.ops
     scopes = [f.scope for f in g.factors]
-    tables = [g.factor_nd(f) for f in g.factors]
-    adj: dict[int, list[tuple[int, tuple[int, ...]]]] = {
-        i: [] for i in range(len(scopes))}
-    for e in compiled.cluster_edges:
-        adj[e.a].append((e.b, e.separator))
-        adj[e.b].append((e.a, e.separator))
-
-    messages: dict[tuple[int, int], PotentialSlice] = {}
-
-    def send(src: int, dst: int, separator: tuple[int, ...]) -> None:
-        acc = tables[src]
-        for nb, _sep in adj[src]:
-            if nb == dst:
-                continue
-            acc = _mul_into(sr, acc, scopes[src], messages[(nb, src)])
-        messages[(src, dst)] = restrict(PotentialSlice(scopes[src], acc),
-                                        separator, sr)
-
-    seen = set()
-    for root in compiled.roots:
-        order = [(root, None, None)]
-        seen.add(root)
-        i = 0
-        while i < len(order):
-            node = order[i][0]
-            i += 1
-            for nb, sep in sorted(adj[node]):
-                if nb not in seen:
-                    seen.add(nb)
-                    order.append((nb, node, sep))
-        for node, par, sep in reversed(order):
-            if par is not None:
-                send(node, par, sep)
-        for node, par, sep in order:
-            if par is not None:
-                send(par, node, sep)
-
-    beliefs = []
-    for c in range(len(scopes)):
-        acc = tables[c]
-        for nb, _sep in adj[c]:
-            acc = _mul_into(sr, acc, scopes[c], messages[(nb, c)])
-        beliefs.append(PotentialSlice(scopes[c], acc))
-
-    root_set = set(compiled.roots)
+    edges = [(e.a, e.b, e.separator) for e in compiled.cluster_edges]
+    bel, roots = calibrate(sr, scopes, [g.factor_nd(f) for f in g.factors],
+                           edges, compiled.roots)
     Z = sr.one
-    for c in sorted(root_set):
-        vec = beliefs[c].table.ravel()
-        if g.semiring == "sum_product":
-            total = vec.sum()
-        elif g.semiring == "min_sum":
-            total = vec.min()
-        else:
-            total = vec.max()
-        Z = sr.mul(Z, total)
-    unsat = (g.semiring != "min_sum" and Z == 0.0) or \
-        (g.semiring == "min_sum" and not np.isfinite(Z))
-    return ClusterTreeResult(tuple(beliefs), float(Z), bool(unsat))
+    for r in roots:
+        Z = sr.mul(Z, sr.add_reduce(bel[r], None))
+    return ClusterTreeResult(
+        tuple(PotentialSlice(s, b) for s, b in zip(scopes, bel)), float(Z),
+        bool(sr.is_zero(Z)))
 
 
 def marginalize_modes(compiled: CompiledModel,
@@ -264,10 +189,8 @@ def marginalize_modes(compiled: CompiledModel,
     for v_id in range(compiled.original_var_count):
         card = g.cardinality(v_id)
         if v_id not in holder:
-            # variable untouched by any factor: uniform under sum-product
-            out.append(np.full(card, 1.0 / card)
-                       if g.semiring == "sum_product"
-                       else np.full(card, sr.one))
+            # variable untouched by any factor
+            out.append(sr.normalize(np.full(card, sr.one)))
             continue
         b = result.beliefs[holder[v_id]]
         vec = restrict(b, (v_id,), sr).table
@@ -302,6 +225,7 @@ def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
     bipartite structure is already acyclic take an exact two-pass BP
     fast path.
     """
+    sr = graph.ops
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     validate_strict(graph)
@@ -313,10 +237,9 @@ def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
 
     if not report.backbone.chords and bp_engine.is_bipartite_forest(graph):
         t0 = time.perf_counter()
-        bel, Z, _m, degenerate = bp_engine.run_tree_exact(graph)
+        bel, Z, _degenerate = bp_engine.run_tree_exact(graph)
         timings["tree_bp"] = time.perf_counter() - t0
-        status = "unsat" if (graph.semiring != "min_sum" and Z == 0.0) \
-            else "ok"
+        status = "unsat" if sr.is_zero(Z) else "ok"
         return HatccResult(status, Z, tuple(bel), report, timings, True)
 
     t0 = time.perf_counter()
@@ -325,7 +248,7 @@ def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
     if isinstance(compiled, UnsatCertificate):
         card = [v.cardinality for v in graph.variables]
         marg = tuple(np.full(c, 1.0 / c) for c in card)
-        return HatccResult("unsat", 0.0, marg, report, timings, True,
+        return HatccResult("unsat", sr.zero, marg, report, timings, True,
                            unsat_chord=compiled.chord)
 
     t0 = time.perf_counter()
@@ -333,14 +256,12 @@ def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
     timings["propagate"] = time.perf_counter() - t0
 
     Z = ct.Z
-    if graph.semiring == "sum_product":
-        # variables untouched by any factor contribute their cardinality
-        touched = set()
-        for f in graph.factors:
-            touched.update(f.scope)
-        for v in graph.variables:
-            if v.id not in touched:
-                Z *= v.cardinality
+    # variables untouched by any factor contribute the total of sr.one
+    touched = {v for f in graph.factors for v in f.scope}
+    for v in graph.variables:
+        if v.id not in touched:
+            Z = float(sr.mul(Z, sr.add_reduce(np.full(v.cardinality, sr.one),
+                                              None)))
 
     t0 = time.perf_counter()
     marg = marginalize_modes(compiled, ct)

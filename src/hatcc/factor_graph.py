@@ -40,13 +40,11 @@ class Semiring:
 
         Exact comparison by default; ``tol`` treats entries within ``tol``
         of zero as zero (an escape hatch for noisy inputs).  For min-sum,
-        zero is +inf and tolerance has no sensible scale, so only
-        non-finite entries are zero.
+        zero is +inf and tolerance has no sensible scale, so only +inf
+        is zero.
         """
         x = np.asarray(x, dtype=np.float64)
-        if self.name == "min_sum":
-            return ~np.isfinite(x)
-        if tol == 0.0:
+        if tol == 0.0 or self.name == "min_sum":
             return x == self.zero
         return np.abs(x - self.zero) <= tol
 
@@ -197,6 +195,15 @@ def validate(graph: FactorGraph) -> list[str]:
             problems.append(f"factor {f.id}: table length {f.table.size} "
                             f"!= expected {expected}")
             continue
+        if not np.isfinite(f.table).all():
+            if np.isnan(f.table).any():
+                problems.append(f"factor {f.id}: NaN entry")
+                continue
+            if graph.semiring in ("sum_product", "max_product"):
+                problems.append(f"factor {f.id}: infinite entry under "
+                                f"{graph.semiring}")
+            if graph.semiring == "min_sum" and np.isneginf(f.table).any():
+                problems.append(f"factor {f.id}: -inf entry under min_sum")
         if graph.semiring in ("sum_product", "max_product"):
             if np.any(f.table < 0.0):
                 problems.append(f"factor {f.id}: negative entry under "

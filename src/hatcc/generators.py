@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .factor_graph import FactorDecl, FactorGraph, VariableDecl
+from .trees import bfs
 
 
 # ---------------------------------------------------------------------------
@@ -78,16 +79,7 @@ def _offtree_edge_indices(n: int, edges: list[tuple[int, int]]) -> list[int]:
         adj[v].sort()
     degree = {v: len(adj[v]) for v in range(n)}
     base = max(range(n), key=lambda v: (degree[v], -v))
-    seen = {base}
-    tree_idx = set()
-    frontier = [base]
-    while frontier:
-        u = frontier.pop(0)
-        for nb, idx in adj[u]:
-            if nb not in seen:
-                seen.add(nb)
-                tree_idx.add(idx)
-                frontier.append(nb)
+    tree_idx = {idx for _node, _par, idx in bfs(adj, [base])}
     return [i for i in range(len(edges)) if i not in tree_idx]
 
 

@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .factor_graph import FactorGraph
+from .trees import UnionFind, bfs, tree_path
 
 
 @dataclass(frozen=True)
@@ -79,31 +80,20 @@ def backbone(nerve: FactorNerve, root_rule: str = "max_degree") -> Backbone:
     ``root_rule`` is 'max_degree' (ties to smallest id) or 'first'.
     """
     order = sorted(nerve.edges, key=lambda e: (-e.weight, e.f1, e.f2))
-    parent_uf = {v: v for v in nerve.vertices}
-
-    def find(x):
-        root = x
-        while parent_uf[root] != root:
-            root = parent_uf[root]
-        while parent_uf[x] != x:
-            parent_uf[x], x = root, parent_uf[x]
-        return root
-
+    uf = UnionFind()
     tree, chords = [], []
     for e in order:
-        a, b = find(e.f1), find(e.f2)
-        if a == b:
-            chords.append(e)
-        else:
-            parent_uf[a] = b
+        if uf.union(e.f1, e.f2):
             tree.append(e)
+        else:
+            chords.append(e)
     chords.sort(key=lambda e: e.key)
     tree.sort(key=lambda e: e.key)
 
-    adj: dict[int, list[int]] = {v: [] for v in nerve.vertices}
+    adj: dict[int, list[tuple[int, None]]] = {v: [] for v in nerve.vertices}
     for e in tree:
-        adj[e.f1].append(e.f2)
-        adj[e.f2].append(e.f1)
+        adj[e.f1].append((e.f2, None))
+        adj[e.f2].append((e.f1, None))
     degree = {v: 0 for v in nerve.vertices}
     for e in nerve.edges:
         degree[e.f1] += 1
@@ -116,15 +106,8 @@ def backbone(nerve: FactorNerve, root_rule: str = "max_degree") -> Backbone:
         if v in seen:
             continue
         # collect the component first so the root rule sees all of it
-        comp = [v]
-        seen.add(v)
-        i = 0
-        while i < len(comp):
-            for nb in adj[comp[i]]:
-                if nb not in seen:
-                    seen.add(nb)
-                    comp.append(nb)
-            i += 1
+        comp = [node for node, _par, _ in bfs(adj, [v])]
+        seen.update(comp)
         if root_rule == "max_degree":
             root = max(comp, key=lambda u: (degree[u], -u))
         elif root_rule == "first":
@@ -132,40 +115,8 @@ def backbone(nerve: FactorNerve, root_rule: str = "max_degree") -> Backbone:
         else:
             raise ValueError(f"unknown root rule '{root_rule}'")
         roots.append(root)
-        # BFS rooting
-        parent[root] = None
-        frontier = [root]
-        done = {root}
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for nb in sorted(adj[u]):
-                    if nb not in done:
-                        done.add(nb)
-                        parent[nb] = u
-                        nxt.append(nb)
-            frontier = nxt
+        parent.update((node, par) for node, par, _ in bfs(adj, [root]))
     return Backbone(tuple(tree), tuple(chords), tuple(roots), parent)
-
-
-def _tree_path(bb: Backbone, u: int, v: int) -> list[int]:
-    """Unique backbone path from u to v via the lowest common ancestor."""
-    anc_u = []
-    x = u
-    while x is not None:
-        anc_u.append(x)
-        x = bb.parent[x]
-    pos = {node: i for i, node in enumerate(anc_u)}
-    path_v = []
-    x = v
-    while x not in pos:
-        path_v.append(x)
-        x = bb.parent[x]
-        if x is None:
-            raise ValueError(f"factors {u} and {v} are in different "
-                             "backbone components")
-    lca = x
-    return anc_u[:pos[lca] + 1] + list(reversed(path_v))
 
 
 def fundamental_cycle(graph: FactorGraph, bb: Backbone,
@@ -176,7 +127,7 @@ def fundamental_cycle(graph: FactorGraph, bb: Backbone,
     first; interfaces are consecutive scope intersections, and the last
     interface is the chord's own.
     """
-    path = _tree_path(bb, chord.f2, chord.f1)
+    path = tree_path(bb.parent.get, chord.f2, chord.f1)
     interfaces = []
     for a, b in zip(path, path[1:]):
         shared = set(graph.factors[a].scope) & set(graph.factors[b].scope)

@@ -16,6 +16,7 @@ import numpy as np
 from . import bp_engine
 from .factor_graph import FactorDecl, FactorGraph, validate_strict
 from .holonomy import _tarjan_scc, compose, transport_kernel
+from .trees import bfs, tree_path
 
 
 @dataclass(frozen=True)
@@ -72,18 +73,10 @@ def variable_tree(graph: FactorGraph, base: int) -> VariableTree:
         adj[b].append((a, fid))
     for v in adj:
         adj[v].sort()
-    parent: dict[int, Optional[tuple[int, int]]] = {base: None}
-    order = [base]
-    tree_factors: list[int] = []
-    i = 0
-    while i < len(order):
-        u = order[i]
-        i += 1
-        for nb, fid in adj[u]:
-            if nb not in parent:
-                parent[nb] = (u, fid)
-                tree_factors.append(fid)
-                order.append(nb)
+    order = bfs(adj, [base])
+    parent = {node: None if par is None else (par, fid)
+              for node, par, fid in order}
+    tree_factors = [fid for _node, _par, fid in order[1:]]
     if len(parent) != len(graph.variables):
         raise ValueError("sector decomposition requires a connected "
                          "pairwise model")
@@ -100,23 +93,11 @@ def _path_transport(graph: FactorGraph, tree: VariableTree, src: int,
                     dst: int, tol: float) -> np.ndarray:
     """Compose edge transports along the tree path from src to dst.
 
-    Both endpoints hang below the base, so the path runs through their
-    lowest common ancestor in the BFS tree.
+    The path runs through the endpoints' lowest common ancestor in the
+    BFS tree.
     """
-    def chain_to_base(v):
-        chain = [v]
-        while tree.parent[chain[-1]] is not None:
-            chain.append(tree.parent[chain[-1]][0])
-        return chain
-
-    up_src = chain_to_base(src)
-    up_dst = chain_to_base(dst)
-    pos = {v: i for i, v in enumerate(up_src)}
-    k = 0
-    while up_dst[k] not in pos:
-        k += 1
-    lca = up_dst[k]
-    path = up_src[:pos[lca] + 1] + list(reversed(up_dst[:k]))
+    path = tree_path(lambda v: None if tree.parent[v] is None
+                     else tree.parent[v][0], src, dst)
     M = np.eye(graph.cardinality(src), dtype=bool)
     for a, b in zip(path, path[1:]):
         # the connecting factor is recorded on the child side
@@ -235,21 +216,21 @@ def sector_infer(graph: FactorGraph,
     for orbit in dec.orbits:
         tree_model = _clamped_graph(graph, tree_keep, dec.base, orbit)
         if mode == "decomposition":
-            bel, Z, _m, _deg = bp_engine.run_tree_exact(tree_model)
+            bel, Z, _deg = bp_engine.run_tree_exact(tree_model)
             evidences.append(Z)
             all_marg.append(tuple(bel))
             converged.append(True)
             continue
         full_model = _clamped_graph(graph, full_keep, dec.base, orbit)
         if bp_engine.is_bipartite_forest(full_model):
-            bel, Z, _m, _deg = bp_engine.run_tree_exact(full_model)
+            bel, Z, _deg = bp_engine.run_tree_exact(full_model)
             evidences.append(Z)
             all_marg.append(tuple(bel))
             converged.append(True)
         else:
             res = bp_engine.run(full_model, max_iters=max_iters,
                                 residual_threshold=residual_threshold)
-            _bel, Z, _m, _deg = bp_engine.run_tree_exact(tree_model)
+            _bel, Z, _deg = bp_engine.run_tree_exact(tree_model)
             evidences.append(Z)
             all_marg.append(res.beliefs)
             converged.append(res.converged)

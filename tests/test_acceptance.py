@@ -61,7 +61,7 @@ def test_criterion_2_tree_exactness():
             rep = diagnose(g)
             assert rep.backbone.chords == ()
             truth = exact_marginals(g)
-            bel, Z, _m, _deg = bp.run_tree_exact(g)
+            bel, Z, _deg = bp.run_tree_exact(g)
             res = hatcc_infer(g)
             for b, h, t in zip(bel, res.marginals, truth.marginals):
                 assert 0.5 * np.abs(b - t).sum() < 1e-10

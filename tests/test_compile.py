@@ -9,8 +9,8 @@ from hatcc.compile import (CompiledModel, UnsatCertificate, augment,
                            hatcc_infer, marginalize_modes)
 from hatcc.factor_graph import (SEMIRINGS, FactorDecl, FactorGraph,
                                 PotentialSlice, VariableDecl, restrict)
-from hatcc.generators import (gen_four_cycle, gen_permutation_graph,
-                              gen_zk_sync)
+from hatcc.generators import (gen_four_cycle, gen_grid_mrf,
+                              gen_permutation_graph, gen_zk_sync)
 from hatcc.holonomy import diagnose
 from hatcc.metrics import mean_tv
 from hatcc.oracle import exact_marginals
@@ -77,6 +77,26 @@ class TestAugment:
     def test_odd_cycle_unsat_propagates(self):
         g = gen_four_cycle("odd")
         assert isinstance(augment(g, diagnose(g)), UnsatCertificate)
+
+    def test_running_intersection_flags_pinned(self):
+        g = gen_grid_mrf(3, 3, 2.0, 0.3, 0)
+        compiled = augment(g, diagnose(g))
+        assert compiled.running_intersection_ok is False
+        assert compiled.ri_violations == (4, 5, 7, 8)
+        # on a plain cycle the chord's variable skips the tree path
+        cycle = gen_permutation_graph("cycle", 3, 0.1, 0, consistent=True,
+                                      n=6).graph
+        compiled = augment(cycle, diagnose(cycle))
+        assert compiled.running_intersection_ok is False
+        assert compiled.ri_violations == (5,)
+        # a spanning tree: every nerve cycle is a clique around a variable
+        star = gen_permutation_graph("random", 3, 0.1, 3, consistent=True,
+                                     n=7, p=0.0).graph
+        rep = diagnose(star)
+        assert len(rep.backbone.chords) == 6
+        compiled = augment(star, rep)
+        assert compiled.running_intersection_ok is True
+        assert compiled.ri_violations == ()
 
     def test_tree_identity_on_generated_instances(self):
         for seed in range(10):
@@ -160,7 +180,7 @@ class TestHatccInfer:
     def test_tree_fast_path_bitwise_matches_tree_bp(self):
         for seed in range(10):
             g = random_nerve_tree(seed)
-            bel, Z, _m, _deg = bp.run_tree_exact(g)
+            bel, Z, _deg = bp.run_tree_exact(g)
             res = hatcc_infer(g)
             assert "tree_bp" in res.timings
             assert res.Z == Z

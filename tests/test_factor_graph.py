@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hatcc.compile import hatcc_infer
 from hatcc.factor_graph import (SEMIRINGS, FactorDecl, FactorGraph,
                                 PotentialSlice, VariableDecl, from_json_dict,
                                 joint_weight, load, restrict, save,
@@ -46,6 +47,38 @@ class TestValidate:
         g = FactorGraph("sum_product", (VariableDecl(0, 2),),
                         (FactorDecl(0, (0,), [1.0, -1.0]),))
         assert any("negative" in p for p in validate(g))
+
+
+    @pytest.mark.parametrize("semiring", sorted(SEMIRINGS))
+    def test_nan_rejected(self, semiring):
+        g = FactorGraph(semiring, (VariableDecl(0, 2),),
+                        (FactorDecl(0, (0,), [np.nan, 1.0]),))
+        assert any("NaN" in p for p in validate(g))
+
+    @pytest.mark.parametrize("semiring", ["sum_product", "max_product"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinity_rejected_under_product_semirings(self, semiring,
+                                                       value):
+        g = FactorGraph(semiring, (VariableDecl(0, 2),),
+                        (FactorDecl(0, (0,), [value, 1.0]),))
+        assert any("infinite" in p for p in validate(g))
+
+    def test_minus_infinity_rejected_under_min_sum(self):
+        g = FactorGraph("min_sum", (VariableDecl(0, 2),),
+                        (FactorDecl(0, (0,), [-np.inf, 1.0]),))
+        assert any("-inf" in p for p in validate(g))
+        # +inf is the min-sum zero: a forbidden state, not an error
+        g = FactorGraph("min_sum", (VariableDecl(0, 2),),
+                        (FactorDecl(0, (0,), [np.inf, 1.0]),))
+        assert validate(g) == []
+
+    def test_nan_and_inf_table_not_inferred(self):
+        g = FactorGraph("sum_product",
+                        (VariableDecl(0, 2), VariableDecl(1, 2)),
+                        (FactorDecl(0, (0, 1), [np.nan, 1.0, np.inf, 1.0]),))
+        assert validate(g)
+        with pytest.raises(ValueError):
+            hatcc_infer(g)
 
 
 class TestJointWeight:

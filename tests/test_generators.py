@@ -82,6 +82,22 @@ class TestZkSync:
         np.testing.assert_array_equal(dec.generators[0],
                                       [[False, True], [True, False]])
 
+    def test_corrupted_edges_pinned(self):
+        # the corrupted edges index the spanning tree's off-tree edges, so
+        # any change to that tree changes every generated instance
+        cases = [
+            (("cycle", 2, 0.1, 0.5, 0), dict(n=8), ((4, 1),)),
+            (("random", 3, 0.1, 1.0, 1), dict(n=8),
+             ((7, 1), (8, 1), (9, 2), (10, 2), (11, 2), (12, 2), (13, 2),
+              (14, 1))),
+            (("grid", 2, 0.1, 1.0, 2), dict(rows=3, cols=4),
+             ((1, 1), (5, 1), (6, 1), (14, 1), (15, 1), (16, 1))),
+            (("random", 3, 0.2, 0.5, 7), dict(n=10, p=0.4),
+             ((7, 1), (10, 2), (12, 1), (14, 1), (17, 1), (18, 1))),
+        ]
+        for args, kwargs, corrupted in cases:
+            assert gen_zk_sync(*args, **kwargs).corrupted == corrupted
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             gen_zk_sync("cycle", 1, 0.1, 0.0, 0, n=4)

@@ -28,6 +28,21 @@ class TestVariableTree:
         tree = variable_tree(inst.graph, 0)
         assert len(tree.offtree_factors) == 1
 
+    def test_tree_factors_pinned(self):
+        cases = [
+            (("random", 3, 0.1, 1.0, 1), dict(n=8),
+             (0, 1, 2, 3, 4, 5, 6), (0, 1, 3, 6, 8, 9, 10)),
+            (("grid", 2, 0.1, 1.0, 2), dict(rows=3, cols=4),
+             (0, 1, 2, 3, 4, 5, 6, 8, 10, 12, 13),
+             (0, 1, 2, 3, 4, 5, 6, 8, 10, 12, 13)),
+            (("random", 3, 0.2, 0.5, 7), dict(n=10, p=0.4),
+             (0, 1, 2, 3, 4, 5, 6, 8, 15), (1, 7, 8, 9, 10, 11, 12, 14, 15)),
+        ]
+        for args, kwargs, from_0, from_3 in cases:
+            g = gen_zk_sync(*args, **kwargs).graph
+            assert variable_tree(g, 0).tree_factors == from_0
+            assert variable_tree(g, 3).tree_factors == from_3
+
     def test_higher_arity_rejected(self):
         g = FactorGraph("sum_product",
                         tuple(VariableDecl(i, 2) for i in range(3)),
