@@ -101,19 +101,9 @@ def _update(graph: FactorGraph, m: MessageState, h: HalfEdge) -> np.ndarray:
     return update_fac_to_var(graph, m, h)
 
 
-def step_parallel(graph: FactorGraph, m: MessageState, damping: float = 0.0,
-                  normalize: bool = False) -> MessageState:
+def step_parallel(graph: FactorGraph, m: MessageState) -> MessageState:
     """Synchronous update of every half-edge from the input state."""
-    sr = graph.ops
-    new: MessageState = {}
-    for h in m:
-        vec = _update(graph, m, h)
-        if damping != 0.0:
-            vec = (1.0 - damping) * vec + damping * m[h]
-        if normalize:
-            vec = sr.normalize(vec)
-        new[h] = vec
-    return new
+    return {h: _update(graph, m, h) for h in m}
 
 
 def step_scheduled(graph: FactorGraph, m: MessageState,
@@ -178,12 +168,11 @@ def run(graph: FactorGraph, max_iters: int = 200,
     iters = 0
     for iters in range(1, max_iters + 1):
         if schedule is None:
-            new = step_parallel(graph, m, damping=damping)
+            new = step_parallel(graph, m)
         else:
             new = step_scheduled(graph, m, schedule)
-            if damping != 0.0:
-                new = {h: (1.0 - damping) * new[h] + damping * m[h]
-                       for h in new}
+        if damping != 0.0:
+            new = {h: (1.0 - damping) * new[h] + damping * m[h] for h in new}
         new = {h: sr.normalize(v) for h, v in new.items()}
         residual = max((np.abs(new[h] - m[h]).max() for h in new),
                        default=0.0)

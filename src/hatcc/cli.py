@@ -165,8 +165,8 @@ def _sweep_one(task) -> dict:
         row["iterations"] = res.iterations
         beliefs = res.beliefs
     elif method == "sectors":
-        res = sectors_mod.sector_infer(graph, mode=args.sector_mode,
-                                       tol=args.tol)
+        res = sectors_mod.sector_infer(graph, decomposition=dec,
+                                       mode=args.sector_mode, tol=args.tol)
         row["converged"] = int(all(res.converged))
         row["oscillating"] = 0
         row["iterations"] = 0

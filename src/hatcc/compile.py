@@ -74,9 +74,8 @@ def build_selector(graph: FactorGraph, chord: NerveEdge, H: HolonomyMatrix,
     n_states = int(np.prod(iface_shape, dtype=np.int64))
     n_modes = len(Q.modes)
     flat = np.full((n_states, n_modes), sr.zero)
-    for x in range(n_states):
-        if Q.fixed_point_mask[x]:
-            flat[x, Q.quotient[x]] = sr.one
+    fixed = Q.fixed_point_mask
+    flat[fixed, Q.quotient[fixed]] = sr.one
     if not np.any(~sr.is_zero(flat)):
         return UnsatCertificate(chord.key,
                                 "selector has empty support: no interface "
@@ -215,8 +214,7 @@ class HatccResult:
 
 
 def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
-                cap: int = 2 ** 16,
-                root_rule: str = "max_degree") -> HatccResult:
+                cap: int = 2 ** 16) -> HatccResult:
     """Run the full compile-and-solve pipeline.
 
     Phases: validate, nerve, backbone/cycles + holonomy, mode quotients
@@ -232,7 +230,7 @@ def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
     timings["validate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    report = diagnose(graph, tol=tol, cap=cap, root_rule=root_rule)
+    report = diagnose(graph, tol=tol, cap=cap)
     timings["diagnose"] = time.perf_counter() - t0
 
     if not report.backbone.chords and bp_engine.is_bipartite_forest(graph):
@@ -353,8 +351,7 @@ def glue_restriction(cover: Sequence[Sequence[int]],
     return restrict(local_tables[chosen], tuple(target), semiring)
 
 
-def result_to_json_dict(result: HatccResult,
-                        include_timings: bool = True) -> dict:
+def result_to_json_dict(result: HatccResult) -> dict:
     out: dict = {"status": result.status}
     if result.status == "unsat":
         out["unsat_chord"] = list(result.unsat_chord) \
@@ -364,7 +361,5 @@ def result_to_json_dict(result: HatccResult,
     if result.report is not None:
         out["holonomy"] = report_to_json_dict(result.report)
     out["running_intersection_ok"] = result.running_intersection_ok
-    if include_timings:
-        out["timings_ms"] = {k: 1000.0 * v
-                             for k, v in result.timings.items()}
+    out["timings_ms"] = {k: 1000.0 * v for k, v in result.timings.items()}
     return out

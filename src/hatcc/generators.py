@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .factor_graph import FactorDecl, FactorGraph, VariableDecl
-from .trees import bfs
+from .trees import spanning_tree
 
 
 # ---------------------------------------------------------------------------
@@ -64,25 +64,6 @@ def topology_edges(topology: str, n: Optional[int] = None,
     raise ValueError(f"unknown topology '{topology}'")
 
 
-def _offtree_edge_indices(n: int, edges: list[tuple[int, int]]) -> list[int]:
-    """Indices of edges outside a deterministic BFS spanning tree.
-
-    The tree is rooted at the maximum-degree variable (ties to the
-    smallest id) with neighbors visited in ascending order, matching the
-    sector module's spanning tree.
-    """
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
-    for idx, (a, b) in enumerate(edges):
-        adj[a].append((b, idx))
-        adj[b].append((a, idx))
-    for v in adj:
-        adj[v].sort()
-    degree = {v: len(adj[v]) for v in range(n)}
-    base = max(range(n), key=lambda v: (degree[v], -v))
-    tree_idx = {idx for _node, _par, idx in bfs(adj, [base])}
-    return [i for i in range(len(edges)) if i not in tree_idx]
-
-
 # ---------------------------------------------------------------------------
 # Z_k synchronization
 # ---------------------------------------------------------------------------
@@ -124,7 +105,9 @@ def gen_zk_sync(topology: str, k: int, eta: float, epsilon: float,
     x_star = rng_truth.integers(0, k, n_vars)
     shifts = [(int(x_star[j]) - int(x_star[i])) % k for i, j in edges]
 
-    offtree = _offtree_edge_indices(n_vars, edges)
+    # the sector module's spanning tree, so corruption lands off it
+    tree_idx = {idx for _node, _par, idx in spanning_tree(n_vars, edges)}
+    offtree = [i for i in range(len(edges)) if i not in tree_idx]
     n_corrupt = math.ceil(epsilon * len(offtree))
     corrupted = []
     if n_corrupt:

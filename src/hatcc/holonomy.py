@@ -3,7 +3,8 @@
 A transport kernel is the Boolean support relation a factor induces
 between two interface state spaces; composing kernels around a
 fundamental cycle gives the chord's holonomy matrix.  Its strongly
-connected components are the modes.
+connected components are the modes, read off the relation's
+reflexive-transitive closure.
 """
 from __future__ import annotations
 
@@ -90,8 +91,12 @@ def transport_kernel(graph: FactorGraph, factor_id: int,
 
 
 def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean matrix product."""
-    return (a.astype(np.uint8) @ b.astype(np.uint8)) > 0
+    """Boolean matrix product.
+
+    A float BLAS product counts the paths; a sum of non-negative terms is
+    0 only when every term is, so ``> 0`` is exact for any path count.
+    """
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
 def holonomy_matrix(graph: FactorGraph, cycle: FundamentalCycle,
@@ -123,67 +128,33 @@ def holonomy_matrix(graph: FactorGraph, cycle: FundamentalCycle,
     return HolonomyMatrix(cycle.chord, chord_iface, H)
 
 
-def _tarjan_scc(adj: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan; returns SCCs as sorted state lists."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for start in range(n):
-        if index[start] != -1:
-            continue
-        work = [(start, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            while pi < len(adj[node]):
-                nb = adj[node][pi]
-                pi += 1
-                if index[nb] == -1:
-                    work[-1] = (node, pi)
-                    work.append((nb, 0))
-                    advanced = True
-                    break
-                if on_stack[nb]:
-                    low[node] = min(low[node], index[nb])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return sccs
+def reachability_classes(relation: np.ndarray) -> tuple[
+        tuple[tuple[int, ...], ...], np.ndarray]:
+    """Strongly connected classes of a square Boolean relation.
+
+    Squaring ``relation | I`` with ``compose`` until it stops changing
+    gives the reflexive-transitive closure (Fischer & Meyer 1971).  Each
+    state joins the class of its least mutually reachable state, which
+    is the first of the class in state order, so the classes come out
+    sorted and ordered by least member.  Returns the classes and each
+    state's class index.
+    """
+    reach = relation | np.eye(len(relation), dtype=bool)
+    while (reach != (step := compose(reach, reach))).any():
+        reach = step
+    least = (reach & reach.T).argmax(axis=1).tolist()
+    classes: dict[int, list[int]] = {}
+    for x, low in enumerate(least):
+        classes.setdefault(low, []).append(x)
+    index = {low: i for i, low in enumerate(classes)}
+    return (tuple(map(tuple, classes.values())),
+            np.array([index[low] for low in least]))
 
 
 def mode_quotient(H: HolonomyMatrix) -> ModeQuotient:
     """SCC partition of the digraph induced by the holonomy matrix."""
-    mat = H.matrix
-    adj = [list(np.flatnonzero(mat[x])) for x in range(mat.shape[0])]
-    sccs = _tarjan_scc(adj)
-    sccs.sort(key=lambda c: c[0])
-    quotient = np.zeros(mat.shape[0], dtype=np.int64)
-    for mode, comp in enumerate(sccs):
-        for x in comp:
-            quotient[x] = mode
-    return ModeQuotient(tuple(tuple(c) for c in sccs), quotient,
-                        np.diagonal(mat).copy())
+    modes, quotient = reachability_classes(H.matrix)
+    return ModeQuotient(modes, quotient, np.diagonal(H.matrix).copy())
 
 
 def is_trivial(H: HolonomyMatrix) -> bool:
@@ -215,11 +186,10 @@ class HolonomyReport:
 
 
 def diagnose(graph: FactorGraph, tol: float = 0.0,
-             cap: int = DEFAULT_INTERFACE_CAP,
-             root_rule: str = "max_degree") -> HolonomyReport:
+             cap: int = DEFAULT_INTERFACE_CAP) -> HolonomyReport:
     """Nerve, backbone, and per-chord holonomy/mode analysis."""
     nerve = build_factor_nerve(graph)
-    bb = build_backbone(nerve, root_rule)
+    bb = build_backbone(nerve)
     chords = []
     for chord in bb.chords:
         cycle = fundamental_cycle(graph, bb, chord)

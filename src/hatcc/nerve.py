@@ -72,12 +72,13 @@ def build_factor_nerve(graph: FactorGraph) -> FactorNerve:
     return FactorNerve(tuple(range(len(scopes))), tuple(edges))
 
 
-def backbone(nerve: FactorNerve, root_rule: str = "max_degree") -> Backbone:
+def backbone(nerve: FactorNerve) -> Backbone:
     """Maximum-weight spanning forest via Kruskal, deterministic ties.
 
     Equal-weight ties prefer the lexicographically smaller (f1, f2).
-    Disconnected nerves yield one tree and one root per component.
-    ``root_rule`` is 'max_degree' (ties to smallest id) or 'first'.
+    Disconnected nerves yield one tree and one root per component; each
+    root is the component's factor of highest nerve degree, ties to the
+    smallest id.
     """
     order = sorted(nerve.edges, key=lambda e: (-e.weight, e.f1, e.f2))
     uf = UnionFind()
@@ -105,15 +106,10 @@ def backbone(nerve: FactorNerve, root_rule: str = "max_degree") -> Backbone:
     for v in nerve.vertices:
         if v in seen:
             continue
-        # collect the component first so the root rule sees all of it
+        # collect the component first so the root choice sees all of it
         comp = [node for node, _par, _ in bfs(adj, [v])]
         seen.update(comp)
-        if root_rule == "max_degree":
-            root = max(comp, key=lambda u: (degree[u], -u))
-        elif root_rule == "first":
-            root = min(comp)
-        else:
-            raise ValueError(f"unknown root rule '{root_rule}'")
+        root = max(comp, key=lambda u: (degree[u], -u))
         roots.append(root)
         parent.update((node, par) for node, par, _ in bfs(adj, [root]))
     return Backbone(tuple(tree), tuple(chords), tuple(roots), parent)

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import bp_engine
 from .factor_graph import FactorDecl, FactorGraph, validate_strict
-from .holonomy import _tarjan_scc, compose, transport_kernel
-from .trees import bfs, tree_path
+from .holonomy import compose, reachability_classes, transport_kernel
+from .trees import spanning_tree, tree_path
 
 
 @dataclass(frozen=True)
@@ -62,26 +62,24 @@ def _pairwise_structure(graph: FactorGraph):
     return unary, pairwise
 
 
-def variable_tree(graph: FactorGraph, base: int) -> VariableTree:
-    """BFS spanning tree of the variable graph rooted at the base."""
+def variable_tree(graph: FactorGraph,
+                  base: Optional[int] = None) -> VariableTree:
+    """BFS spanning tree of the variable graph rooted at the base.
+
+    The default base is the variable of highest pairwise degree, ties to
+    the smallest id.
+    """
     _unary, pairwise = _pairwise_structure(graph)
-    adj: dict[int, list[tuple[int, int]]] = {v.id: []
-                                             for v in graph.variables}
-    for fid in pairwise:
-        a, b = graph.factors[fid].scope
-        adj[a].append((b, fid))
-        adj[b].append((a, fid))
-    for v in adj:
-        adj[v].sort()
-    order = bfs(adj, [base])
-    parent = {node: None if par is None else (par, fid)
-              for node, par, fid in order}
-    tree_factors = [fid for _node, _par, fid in order[1:]]
+    order = spanning_tree(len(graph.variables),
+                          [graph.factors[fid].scope for fid in pairwise], base)
+    parent = {node: None if par is None else (par, pairwise[idx])
+              for node, par, idx in order}
+    tree_factors = sorted(pairwise[idx] for _node, _par, idx in order[1:])
     if len(parent) != len(graph.variables):
         raise ValueError("sector decomposition requires a connected "
                          "pairwise model")
     offtree = tuple(sorted(set(pairwise) - set(tree_factors)))
-    return VariableTree(base, tuple(sorted(tree_factors)), offtree, parent)
+    return VariableTree(order[0][0], tuple(tree_factors), offtree, parent)
 
 
 def _edge_transport(graph: FactorGraph, fid: int, src: int, dst: int,
@@ -109,22 +107,23 @@ def _path_transport(graph: FactorGraph, tree: VariableTree, src: int,
     return M
 
 
-def base_generators(graph: FactorGraph, base: int,
+def base_generators(graph: FactorGraph, base: Optional[int] = None,
                     tol: float = 0.0) -> tuple[VariableTree,
                                                list[np.ndarray]]:
     """One holonomy generator per off-tree edge, rebased at the base.
 
     Generator = transport base->i along the tree, across the off-tree
-    factor i->j, then j->base along the tree.
+    factor i->j, then j->base along the tree.  The base defaults as in
+    ``variable_tree``.
     """
     validate_strict(graph)
     tree = variable_tree(graph, base)
     gens = []
     for fid in tree.offtree_factors:
         i, j = graph.factors[fid].scope
-        M = _path_transport(graph, tree, base, i, tol)
+        M = _path_transport(graph, tree, tree.base, i, tol)
         M = compose(M, _edge_transport(graph, fid, i, j, tol))
-        M = compose(M, _path_transport(graph, tree, j, base, tol))
+        M = compose(M, _path_transport(graph, tree, j, tree.base, tol))
         gens.append(M)
     return tree, gens
 
@@ -149,26 +148,15 @@ def orbit_partition(generators, fiber_size: int,
         union |= g
     if strict_group:
         union |= union.T
-    adj = [list(np.flatnonzero(union[x])) for x in range(fiber_size)]
-    sccs = _tarjan_scc(adj)
-    sccs.sort(key=lambda c: c[0])
-    return tuple(tuple(c) for c in sccs)
+    return reachability_classes(union)[0]
 
 
 def decompose(graph: FactorGraph, base: Optional[int] = None,
-              tol: float = 0.0,
-              strict_group: bool = False) -> SectorDecomposition:
+              tol: float = 0.0) -> SectorDecomposition:
     """Pick a base (max degree by default), build generators and orbits."""
-    _unary, pairwise = _pairwise_structure(graph)
-    if base is None:
-        degree = {v.id: 0 for v in graph.variables}
-        for fid in pairwise:
-            for v in graph.factors[fid].scope:
-                degree[v] += 1
-        base = max(degree, key=lambda v: (degree[v], -v))
     tree, gens = base_generators(graph, base, tol)
-    orbits = orbit_partition(gens, graph.cardinality(base), strict_group)
-    return SectorDecomposition(base, tree, tuple(gens), orbits)
+    orbits = orbit_partition(gens, graph.cardinality(tree.base))
+    return SectorDecomposition(tree.base, tree, tuple(gens), orbits)
 
 
 def _clamped_graph(graph: FactorGraph, keep_factors, base: int,

@@ -1,4 +1,5 @@
-"""Forests: union-find, rooted BFS, tree paths and exact calibration.
+"""Forests: union-find, rooted BFS, spanning trees, tree paths and exact
+calibration.
 
 ``calibrate`` is the one exact tree solver.  It runs two-pass separator
 message passing (Lauritzen & Spiegelhalter 1988, Shafer & Shenoy) over a
@@ -62,6 +63,27 @@ def bfs(adj, roots) -> list[tuple]:
                     seen.add(nb)
                     order.append((nb, node, label))
     return order
+
+
+def spanning_tree(n: int, edges: Sequence[tuple[int, int]],
+                  base: Optional[int] = None) -> list[tuple]:
+    """Breadth-first spanning tree of a graph on nodes ``0 .. n-1``.
+
+    Rooted at ``base``, by default the node of highest degree with ties
+    to the smallest id.  Neighbours are visited in ascending id order,
+    parallel edges in index order.  Returns the ``bfs`` triples
+    ``(node, parent, edge index)`` of the base's component; the first
+    names the base.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for idx, (a, b) in enumerate(edges):
+        adj[a].append((b, idx))
+        adj[b].append((a, idx))
+    for nbrs in adj:
+        nbrs.sort()
+    if base is None:
+        base = max(range(n), key=lambda v: (len(adj[v]), -v))
+    return bfs(adj, [base])
 
 
 def tree_path(up: Callable[[Hashable], Optional[Hashable]], u: Hashable,

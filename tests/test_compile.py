@@ -209,6 +209,21 @@ class TestHatccInfer:
             assert mean_tv(res.marginals, truth.marginals) < 1e-10
             assert abs(res.Z - truth.Z) <= 1e-10 * truth.Z
 
+    def test_wide_interface_all_ones_not_unsat(self):
+        # the chord interface (0..8) has 512 states, each joined to each
+        # by 1024 paths through the 10-variable factor
+        variables = tuple(VariableDecl(i, 2) for i in range(10))
+        scopes = (tuple(range(9)), tuple(range(10)), (0, 9))
+        factors = tuple(FactorDecl(i, s, np.ones(2 ** len(s)))
+                        for i, s in enumerate(scopes))
+        g = FactorGraph("sum_product", variables, factors)
+        res = hatcc_infer(g)
+        truth = exact_marginals(g)
+        assert res.status == "ok"
+        assert res.running_intersection_ok
+        assert res.Z == truth.Z == 1024
+        assert mean_tv(res.marginals, truth.marginals) < 1e-12
+
     def test_phase_timings_present(self):
         res = hatcc_infer(gen_four_cycle("even"))
         for key in ("validate", "diagnose", "augment", "propagate",

@@ -80,6 +80,13 @@ class TestTransportKernel:
         np.testing.assert_array_equal(tol.matrix, np.eye(2, dtype=bool))
 
 
+class TestCompose:
+    def test_exact_past_255_paths(self):
+        # 256 paths from the one source state to the one target state
+        out = compose(np.ones((1, 256), bool), np.ones((256, 1), bool))
+        np.testing.assert_array_equal(out, [[True]])
+
+
 def _chord_cycle(graph):
     bb = backbone(build_factor_nerve(graph))
     return fundamental_cycle(graph, bb, bb.chords[0])
@@ -151,19 +158,26 @@ class TestModeQuotient:
 
     def test_quotient_soundness_mutual_reachability(self):
         r = np.random.default_rng(4)
-        for _ in range(30):
-            n = int(r.integers(2, 9))
-            mat = r.random((n, n)) < 0.3
+        for _ in range(60):
+            n = int(r.integers(2, 41))
+            mat = r.random((n, n)) < r.uniform(0.0, 0.3)
             q = mode_quotient(_h(mat))
-            # transitive closure
-            reach = mat.copy()
-            for _ in range(n):
-                reach = reach | compose(reach, mat)
+            # reflexive-transitive closure by Warshall, without compose
+            reach = mat | np.eye(n, dtype=bool)
+            for k in range(n):
+                reach |= np.outer(reach[:, k], reach[k])
+            mutual = reach & reach.T
+            # sound and complete: each mode is one mutual-reachability class
             for mode in q.modes:
                 for x in mode:
-                    for y in mode:
-                        if x != y:
-                            assert reach[x, y] and reach[y, x]
+                    assert tuple(np.flatnonzero(mutual[x])) == mode
+            # sorted, ordered by least member, each state in one mode
+            assert all(list(m) == sorted(m) for m in q.modes)
+            assert [m[0] for m in q.modes] == sorted(m[0] for m in q.modes)
+            assert sorted(x for m in q.modes for x in m) == list(range(n))
+            # the quotient names each state's mode
+            for i, mode in enumerate(q.modes):
+                assert all(q.quotient[x] == i for x in mode)
 
 
 class TestTriviality:
