@@ -3,7 +3,8 @@
 Messages live on directed half-edges of the bipartite factor graph.
 The parallel operator recomputes every half-edge from the previous
 state; scheduled updates apply single-edge updates in order, each
-reading the freshest state.
+reading the freshest state.  The parallel operator runs on grouped
+flat buffers (``_Layout``); a ``HalfEdge`` dict is a view of them.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .factor_graph import FactorGraph, validate_strict
+from .factor_graph import FactorGraph, Semiring, validate_strict
 from .trees import UnionFind, bfs, calibrate
 
 
@@ -44,19 +45,8 @@ def half_edges(graph: FactorGraph) -> list[HalfEdge]:
 def init_messages(graph: FactorGraph, init: str = "ones",
                   seed: Optional[int] = None) -> MessageState:
     """All-one messages, or seeded positive uniforms ('random')."""
-    sr = graph.ops
-    rng = np.random.default_rng(seed) if init == "random" else None
-    m: MessageState = {}
-    for h in half_edges(graph):
-        card = graph.cardinality(h.variable_id)
-        if init == "ones":
-            m[h] = np.full(card, sr.one)
-        elif init == "random":
-            # positive, bounded away from zero
-            m[h] = rng.uniform(0.1, 1.0, card)
-        else:
-            raise ValueError(f"unknown init '{init}'")
-    return m
+    lay = _Layout(graph)
+    return lay.unpack(lay.initial(graph.ops, init, seed), lay.half_edges)
 
 
 def update_var_to_fac(graph: FactorGraph, m: MessageState,
@@ -101,9 +91,165 @@ def _update(graph: FactorGraph, m: MessageState, h: HalfEdge) -> np.ndarray:
     return update_fac_to_var(graph, m, h)
 
 
+# ---------------------------------------------------------------------------
+# Grouped flat layout of the parallel operator
+# ---------------------------------------------------------------------------
+
+def _exclusive_products(sr: Semiring, msgs: np.ndarray) -> np.ndarray:
+    """Along axis 1 of ``(V, d, c)``, the product of every message but one.
+
+    Prefix and suffix products, so no division: min-sum and zero entries
+    forbid it.
+    """
+    d = msgs.shape[1]
+    if d == 1:
+        return np.full_like(msgs, sr.one)
+    pre = sr.mul.accumulate(msgs[:, :-1], axis=1)
+    suf = sr.mul.accumulate(msgs[:, :0:-1], axis=1)[:, ::-1]
+    out = np.empty_like(msgs)
+    out[:, 0] = suf[:, 0]
+    out[:, -1] = pre[:, -1]
+    sr.mul(pre[:, :-1], suf[:, 1:], out=out[:, 1:-1])
+    return out
+
+
+class _Layout:
+    """Grouped message buffers of one factor graph.
+
+    A message state is a list of blocks, one per cardinality ``c`` in
+    ``cards``.  Block row ``r`` is one incidence ``(f, v)`` with
+    ``card(v) == c``; slot 0 holds its variable-to-factor message and
+    slot 1 its factor-to-variable message.  Rows keep ``half_edges``
+    order.  Factors are stacked by scope shape and variables grouped by
+    (cardinality, degree), so every group is a dense array.
+    """
+
+    def __init__(self, graph: FactorGraph):
+        self.half_edges = half_edges(graph)
+        self.n_vars = len(graph.variables)
+        card = np.array([v.cardinality for v in graph.variables],
+                        dtype=np.int64)
+        inc_var = np.array([v for f in graph.factors for v in f.scope],
+                           dtype=np.int64)
+        inc_card = card[inc_var]
+        self.cards = sorted(set(inc_card.tolist()))
+        block = {c: b for b, c in enumerate(self.cards)}
+        self.incidences = [np.flatnonzero(inc_card == c) for c in self.cards]
+        row = np.empty(len(inc_var), dtype=np.int64)
+        for rows in self.incidences:
+            row[rows] = np.arange(len(rows))
+        self.keys = [[self.half_edges[2 * e + s] for e in rows for s in (0, 1)]
+                     for rows in self.incidences]
+        # each incidence's two messages are consecutive in half_edges order
+        ends = 2 * np.cumsum(inc_card)
+        self.offsets = ends - 2 * inc_card
+        self.n_entries = int(ends[-1]) if len(ends) else 0
+
+        by_shape: dict[tuple[int, ...], list] = {}
+        first = 0
+        for f in graph.factors:
+            if f.scope:
+                by_shape.setdefault(graph.scope_shape(f.scope), []).append(
+                    (f.table, first))
+            first += len(f.scope)
+        # (stacked tables, [(block, rows) per axis])
+        self.factor_groups = []
+        for shape, members in by_shape.items():
+            tables = np.stack([t for t, _ in members]).reshape(
+                (len(members),) + shape)
+            firsts = np.array([e for _, e in members], dtype=np.int64)
+            axes = [(block[c], row[firsts + a]) for a, c in enumerate(shape)]
+            self.factor_groups.append((tables, axes))
+
+        degree = np.bincount(inc_var, minlength=self.n_vars)
+        # each variable's incidences, in ascending factor order
+        by_var = np.argsort(inc_var, kind="stable")
+        start = np.cumsum(degree) - degree
+        members_of: dict[tuple[int, int], list[int]] = {}
+        for v, key in enumerate(zip(card.tolist(), degree.tolist())):
+            members_of.setdefault(key, []).append(v)
+        # (cardinality, block or None, variable ids, (V, d) rows)
+        self.var_groups = []
+        for (c, d), vs in members_of.items():
+            vs = np.array(vs, dtype=np.int64)
+            rows = row[by_var[start[vs][:, None] + np.arange(d)]]
+            self.var_groups.append((c, block.get(c), vs, rows))
+
+    def initial(self, sr: Semiring, init: str,
+                seed: Optional[int]) -> list[np.ndarray]:
+        """All-one blocks, or seeded uniforms drawn in ``half_edges`` order."""
+        if init == "ones":
+            return [np.full((len(rows), 2, c), sr.one)
+                    for rows, c in zip(self.incidences, self.cards)]
+        if init == "random":
+            # positive, bounded away from zero
+            draws = np.random.default_rng(seed).uniform(0.1, 1.0,
+                                                        self.n_entries)
+            return [draws[self.offsets[rows][:, None] + np.arange(2 * c)]
+                    .reshape(-1, 2, c)
+                    for rows, c in zip(self.incidences, self.cards)]
+        raise ValueError(f"unknown init '{init}'")
+
+    def pack(self, m: MessageState) -> list[np.ndarray]:
+        """Blocks holding the messages of a ``HalfEdge`` dict."""
+        return [np.array([m[h] for h in keys], dtype=np.float64)
+                .reshape(-1, 2, c) for keys, c in zip(self.keys, self.cards)]
+
+    def unpack(self, state: list[np.ndarray],
+               order: Sequence[HalfEdge]) -> MessageState:
+        """A ``HalfEdge`` dict of row views, keyed in ``order``."""
+        view: MessageState = {}
+        for keys, blk, c in zip(self.keys, state, self.cards):
+            view.update(zip(keys, blk.reshape(-1, c)))
+        return {h: view[h] for h in order}
+
+    def sweep(self, sr: Semiring, state: list[np.ndarray]) -> list[np.ndarray]:
+        """One parallel update of every half-edge from ``state``."""
+        new = [np.empty_like(blk) for blk in state]
+        for tables, axes in self.factor_groups:
+            k = len(axes)
+            msgs = []
+            for a, (b, rows) in enumerate(axes):
+                shape = [len(rows)] + [1] * k
+                shape[a + 1] = self.cards[b]
+                msgs.append(state[b][rows, 0].reshape(shape))
+            for t, (b, rows) in enumerate(axes):
+                acc = tables
+                for a in range(k):
+                    if a != t:
+                        acc = sr.mul(acc, msgs[a])
+                if k > 1:
+                    acc = sr.add_reduce(acc, axis=tuple(
+                        a + 1 for a in range(k) if a != t))
+                new[b][rows, 1] = acc
+        for _c, b, _vs, rows in self.var_groups:
+            if rows.shape[1]:
+                new[b][rows, 0] = _exclusive_products(sr, state[b][rows, 1])
+        return new
+
+    def beliefs(self, sr: Semiring, state: list[np.ndarray]
+                ) -> tuple[list[np.ndarray], list[int]]:
+        if not sr.supports_division:
+            raise ValueError("beliefs require sum_product or max_product")
+        out: list[np.ndarray] = [None] * self.n_vars
+        degenerate: list[int] = []
+        for c, b, vs, rows in self.var_groups:
+            if rows.shape[1]:
+                bel = sr.mul.reduce(state[b][rows, 1], axis=1,
+                                    initial=sr.one)
+            else:
+                bel = np.full((len(vs), c), sr.one)
+            degenerate += vs[np.all(sr.is_zero(bel), axis=1)].tolist()
+            out_rows = sr.normalize(bel)
+            for v, r in zip(vs.tolist(), out_rows):
+                out[v] = r
+        return out, sorted(degenerate)
+
+
 def step_parallel(graph: FactorGraph, m: MessageState) -> MessageState:
     """Synchronous update of every half-edge from the input state."""
-    return {h: _update(graph, m, h) for h in m}
+    lay = _Layout(graph)
+    return lay.unpack(lay.sweep(graph.ops, lay.pack(m)), m)
 
 
 def step_scheduled(graph: FactorGraph, m: MessageState,
@@ -157,24 +303,26 @@ def run(graph: FactorGraph, max_iters: int = 200,
 
     Messages are normalized after each sweep for numerical stability and
     the residual is the max L-inf distance between successive normalized
-    messages.  Non-convergence is a result, not an error.
+    messages.  Non-convergence is a result, not an error.  A schedule
+    runs through ``step_scheduled`` on a dict view of the buffers.
     """
     validate_strict(graph)
     sr = graph.ops
-    m = init_messages(graph, init, seed)
-    m = {h: sr.normalize(v) for h, v in m.items()}
+    lay = _Layout(graph)
+    m = [sr.normalize(blk) for blk in lay.initial(sr, init, seed)]
     trace: list[float] = []
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
         if schedule is None:
-            new = step_parallel(graph, m)
+            new = lay.sweep(sr, m)
         else:
-            new = step_scheduled(graph, m, schedule)
+            new = lay.pack(step_scheduled(
+                graph, lay.unpack(m, lay.half_edges), schedule))
         if damping != 0.0:
-            new = {h: (1.0 - damping) * new[h] + damping * m[h] for h in new}
-        new = {h: sr.normalize(v) for h, v in new.items()}
-        residual = max((np.abs(new[h] - m[h]).max() for h in new),
+            new = [(1.0 - damping) * a + damping * b for a, b in zip(new, m)]
+        new = [sr.normalize(blk) for blk in new]
+        residual = max((np.abs(a - b).max() for a, b in zip(new, m)),
                        default=0.0)
         m = new
         trace.append(float(residual))
@@ -185,27 +333,16 @@ def run(graph: FactorGraph, max_iters: int = 200,
         iters = 0
     oscillating = (not converged) and _detect_oscillation(
         trace, residual_threshold)
-    bel, degen = beliefs(graph, m)
-    return BPResult(m, tuple(bel), tuple(degen), iters, converged,
-                    oscillating, tuple(trace))
+    bel, degen = lay.beliefs(sr, m)
+    return BPResult(lay.unpack(m, lay.half_edges), tuple(bel), tuple(degen),
+                    iters, converged, oscillating, tuple(trace))
 
 
 def beliefs(graph: FactorGraph,
             m: MessageState) -> tuple[list[np.ndarray], list[int]]:
     """Per-variable normalized beliefs and the ids with all-zero belief."""
-    sr = graph.ops
-    if not sr.supports_division:
-        raise ValueError("beliefs require sum_product or max_product")
-    out: list[np.ndarray] = []
-    degenerate: list[int] = []
-    for v in graph.variables:
-        b = np.full(v.cardinality, sr.one)
-        for f in graph.var_neighbors(v.id):
-            b = sr.mul(b, m[HalfEdge(f, v.id, Direction.FAC_TO_VAR)])
-        if np.all(sr.is_zero(b)):
-            degenerate.append(v.id)
-        out.append(sr.normalize(b))
-    return out, degenerate
+    lay = _Layout(graph)
+    return lay.beliefs(graph.ops, lay.pack(m))
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +431,11 @@ def run_tree_exact(graph: FactorGraph):
     validate_strict(graph)
     if not is_bipartite_forest(graph):
         raise ValueError("run_tree_exact requires an acyclic factor graph")
+    return _calibrate_forest(graph)
+
+
+def _calibrate_forest(graph: FactorGraph):
+    """``run_tree_exact`` on a graph already validated and known acyclic."""
     sr = graph.ops
     m = len(graph.factors)
     scopes = [f.scope for f in graph.factors]

@@ -235,7 +235,7 @@ def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
 
     if not report.backbone.chords and bp_engine.is_bipartite_forest(graph):
         t0 = time.perf_counter()
-        bel, Z, _degenerate = bp_engine.run_tree_exact(graph)
+        bel, Z, _degenerate = bp_engine._calibrate_forest(graph)
         timings["tree_bp"] = time.perf_counter() - t0
         status = "unsat" if sr.is_zero(Z) else "ok"
         return HatccResult(status, Z, tuple(bel), report, timings, True)

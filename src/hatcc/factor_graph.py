@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -52,17 +53,22 @@ class Semiring:
         """Rescale a message/belief vector for numerical stability.
 
         Sum to one (sum-product), max to one (max-product / boolean),
-        subtract the min (min-sum).  Degenerate all-zero vectors are
-        returned unchanged.
+        subtract the min (min-sum).  A stacked array is normalized row
+        by row along its last axis.  Degenerate rows are returned
+        unchanged: all-zero rows, and min-sum rows whose min is not
+        finite.
         """
         vec = np.asarray(vec, dtype=np.float64)
         if self.name == "min_sum":
-            m = vec.min()
-            return vec - m if np.isfinite(m) else vec
-        total = vec.sum() if self.name == "sum_product" else vec.max()
-        if total > 0.0:
-            return vec / total
-        return vec
+            m = vec.min(axis=-1, keepdims=True)
+            m[~np.isfinite(m)] = 0.0
+            return vec - m
+        if self.name == "sum_product":
+            total = vec.sum(axis=-1, keepdims=True)
+        else:
+            total = vec.max(axis=-1, keepdims=True)
+        total[~(total > 0.0)] = 1.0
+        return vec / total
 
 
 SEMIRINGS: dict[str, Semiring] = {
@@ -152,9 +158,21 @@ class FactorGraph:
     def factor_slice(self, f: FactorDecl) -> PotentialSlice:
         return PotentialSlice(f.scope, self.factor_nd(f))
 
+    @cached_property
+    def _var_factors(self) -> dict[int, list[int]]:
+        """Variable id -> ids of the factors holding it, in factor order.
+
+        Built on first use, so constructing a graph stays cheap.
+        """
+        out: dict[int, list[int]] = {}
+        for f in self.factors:
+            for v in f.scope:
+                out.setdefault(v, []).append(f.id)
+        return out
+
     def var_neighbors(self, var_id: int) -> list[int]:
         """Factor ids whose scope contains var_id, ascending."""
-        return [f.id for f in self.factors if var_id in f.scope]
+        return list(self._var_factors.get(var_id, ()))
 
 
 # ---------------------------------------------------------------------------

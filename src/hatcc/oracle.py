@@ -1,10 +1,11 @@
 """Brute-force exact inference by full enumeration.
 
 Desk-scale ground truth: partition function, per-variable marginals and
-MAP assignment, via a mixed-radix odometer over all joint assignments.
+MAP assignment, by enumerating all joint assignments in vectorised chunks.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,7 @@ import numpy as np
 from .factor_graph import FactorGraph, validate_strict
 
 DEFAULT_STATE_CAP = 2 ** 20
+CHUNK = 2 ** 16  # states decoded at once
 
 
 class StateSpaceCapExceeded(RuntimeError):
@@ -31,43 +33,48 @@ class OracleMap:
     weight: float
 
 
-def _total_states(graph: FactorGraph, cap: int) -> int:
+def _joint_shape(graph: FactorGraph, cap: int) -> tuple[int, ...]:
+    """All variables' cardinalities, once their product is within cap."""
     total = 1
     for v in graph.variables:
         total *= v.cardinality
         if total > cap:
             raise StateSpaceCapExceeded(
                 f"joint state space exceeds cap {cap}")
-    return total
+    return graph.scope_shape(range(len(graph.variables)))
 
 
-def _weights_by_odometer(graph: FactorGraph):
-    """Yield (assignment array, weight) over all joint states.
+def _c_strides(shape: tuple[int, ...]) -> np.ndarray:
+    """Element strides of a C-ordered array of this shape."""
+    return np.array([math.prod(shape[i + 1:]) for i in range(len(shape))],
+                    dtype=np.int64)
 
-    The assignment odometer increments the last variable fastest, so
-    enumeration order is lexicographic over the state vector.
+
+def _weights_by_chunk(graph: FactorGraph, shape: tuple[int, ...]):
+    """Yield (state indices, weights) over all joint states, in chunks.
+
+    A state's index is its C-order position in the joint table, last
+    variable fastest, so enumeration order is lexicographic over the
+    state vector.  Each factor is gathered with one flat index per state,
+    built from the index digits of its scope, and folded in with
+    ``sr.mul``.  Only vectors of the chunk's length are held, never a
+    chunk-by-variable matrix.
     """
     sr = graph.ops
-    n = len(graph.variables)
-    cards = [v.cardinality for v in graph.variables]
-    tables = [graph.factor_nd(f) for f in graph.factors]
-    scopes = [f.scope for f in graph.factors]
-    state = np.zeros(n, dtype=np.int64)
-    while True:
-        w = np.float64(sr.one)
-        for tab, scope in zip(tables, scopes):
-            w = sr.mul(w, tab[tuple(state[v] for v in scope)])
-        yield state, float(w)
-        # odometer step, last digit fastest
-        pos = n - 1
-        while pos >= 0:
-            state[pos] += 1
-            if state[pos] < cards[pos]:
-                break
-            state[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
+    radix = _c_strides(shape)
+    factors = [(f.scope, _c_strides(graph.scope_shape(f.scope)), f.table)
+               for f in graph.factors]
+    total = math.prod(shape)
+    chunk = min(total, CHUNK)
+    for lo in range(0, total, chunk):
+        index = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+        w = np.full(len(index), sr.one)
+        for scope, strides, table in factors:
+            flat = np.zeros_like(index)
+            for v, stride in zip(scope, strides):
+                flat += index // radix[v] % shape[v] * stride
+            w = sr.mul(w, table[flat])
+        yield index, w
 
 
 def exact_marginals(graph: FactorGraph,
@@ -81,14 +88,16 @@ def exact_marginals(graph: FactorGraph,
     validate_strict(graph)
     if graph.semiring != "sum_product":
         raise ValueError("exact_marginals requires the sum_product semiring")
-    _total_states(graph, cap)
-    tallies = [np.zeros(v.cardinality) for v in graph.variables]
-    Z = 0.0
-    for state, w in _weights_by_odometer(graph):
-        Z += w
-        if w != 0.0:
-            for i, s in enumerate(state):
-                tallies[i][s] += w
+    sr = graph.ops
+    shape = _joint_shape(graph, cap)
+    radix = _c_strides(shape)
+    tallies = [np.zeros(card) for card in shape]
+    Z = sr.zero
+    for index, w in _weights_by_chunk(graph, shape):
+        Z = sr.add(Z, sr.add_reduce(w, 0))
+        for t, r, card in zip(tallies, radix, shape):
+            t += np.bincount(index // r % card, weights=w, minlength=card)
+    Z = float(Z)
     if Z == 0.0:
         marg = tuple(np.full(v.cardinality, 1.0 / v.cardinality)
                      for v in graph.variables)
@@ -99,17 +108,24 @@ def exact_marginals(graph: FactorGraph,
 def exact_map(graph: FactorGraph, cap: int = DEFAULT_STATE_CAP) -> OracleMap:
     """Best joint assignment with lexicographic tie-breaking.
 
-    For sum/max-product the best weight is the maximum; for min-sum it
-    is the minimum (energy).  Ties go to the lexicographically smallest
-    assignment, which the enumeration order yields for free.
+    The best weight is the one farthest from the semiring zero: the
+    maximum for sum/max-product and boolean, the minimum (energy) for
+    min-sum.  Ties go to the lexicographically smallest assignment, the
+    first in enumeration order.
     """
     validate_strict(graph)
-    _total_states(graph, cap)
-    better = min if graph.semiring == "min_sum" else max
+    sr = graph.ops
+    shape = _joint_shape(graph, cap)
+    # zero is the worst weight: +inf under min-sum, 0 otherwise
+    lower_is_better = sr.zero > sr.one
+    pick = np.argmin if lower_is_better else np.argmax
     best_w = None
-    best_a = None
-    for state, w in _weights_by_odometer(graph):
-        if best_w is None or better(w, best_w) != best_w:
-            best_w = w
-            best_a = tuple(int(s) for s in state)
+    best_i = 0
+    for index, w in _weights_by_chunk(graph, shape):
+        i = int(pick(w))
+        if best_w is None or (w[i] < best_w if lower_is_better
+                              else w[i] > best_w):
+            best_w = float(w[i])
+            best_i = int(index[i])
+    best_a = tuple(int(s) for s in np.unravel_index(best_i, shape))
     return OracleMap(best_a, best_w)

@@ -4,7 +4,8 @@ import pytest
 from conftest import random_graph, random_pairwise_tree
 from hatcc import bp_engine as bp
 from hatcc.bp_engine import Direction, HalfEdge
-from hatcc.factor_graph import FactorDecl, FactorGraph, VariableDecl
+from hatcc.factor_graph import (SEMIRINGS, FactorDecl, FactorGraph,
+                                VariableDecl)
 from hatcc.generators import gen_four_cycle
 from hatcc.oracle import exact_marginals
 
@@ -242,3 +243,173 @@ class TestGauge:
             b2, _ = bp.beliefs(g, bp.gauge_act(k, m))
             for x, y in zip(b1, b2):
                 np.testing.assert_allclose(x, y, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the flat parallel engine against single-edge updates
+# ---------------------------------------------------------------------------
+
+def reference_step(g, m):
+    """The parallel operator, one single-edge update per half-edge."""
+    return {h: (bp.update_var_to_fac(g, m, h)
+                if h.direction is Direction.VAR_TO_FAC
+                else bp.update_fac_to_var(g, m, h)) for h in m}
+
+
+def reference_run(g, max_iters=200, threshold=1e-6, damping=0.0,
+                  init="ones", seed=None, schedule=None):
+    """The BP loop over ``reference_step`` (or ``step_scheduled``), on
+    HalfEdge dicts."""
+    sr = g.ops
+    rng = np.random.default_rng(seed)
+    m = {}
+    for h in bp.half_edges(g):
+        card = g.cardinality(h.variable_id)
+        m[h] = (np.full(card, sr.one) if init == "ones"
+                else rng.uniform(0.1, 1.0, card))
+    m = {h: sr.normalize(v) for h, v in m.items()}
+    trace, converged, iters = [], False, 0
+    for iters in range(1, max_iters + 1):
+        new = (reference_step(g, m) if schedule is None
+               else bp.step_scheduled(g, m, schedule))
+        if damping != 0.0:
+            new = {h: (1.0 - damping) * new[h] + damping * m[h] for h in new}
+        new = {h: sr.normalize(v) for h, v in new.items()}
+        residual = max((np.abs(new[h] - m[h]).max() for h in new),
+                       default=0.0)
+        m = new
+        trace.append(float(residual))
+        if residual < threshold:
+            converged = True
+            break
+    if max_iters == 0:
+        iters = 0
+    bel = []
+    for v in g.variables:
+        b = np.full(v.cardinality, sr.one)
+        for f in g.var_neighbors(v.id):
+            b = sr.mul(b, m[HalfEdge(f, v.id, Direction.FAC_TO_VAR)])
+        bel.append(sr.normalize(b))
+    oscillating = not converged and bp._detect_oscillation(trace, threshold)
+    return iters, converged, oscillating, trace, bel
+
+
+def in_semiring(g, semiring, zero_frac=0.0, seed=0):
+    """g's positive tables as a valid model of ``semiring``, with a share
+    of entries set to the semiring zero, plus an isolated variable and an
+    empty-scope factor."""
+    sr = SEMIRINGS[semiring]
+    r = np.random.default_rng(seed)
+    factors = []
+    for f in g.factors:
+        t = f.table.copy()
+        if semiring == "boolean":
+            t = (t > 0.6).astype(float)
+        t[r.random(t.size) < zero_frac] = sr.zero
+        factors.append(FactorDecl(f.id, f.scope, t))
+    factors.append(FactorDecl(len(factors), (), [sr.one]))
+    variables = g.variables + (VariableDecl(len(g.variables), 2),)
+    return FactorGraph(semiring, variables, tuple(factors))
+
+
+def random_messages(g, seed, zero_frac=0.0):
+    sr = g.ops
+    r = np.random.default_rng(seed)
+    m = {}
+    for h in bp.half_edges(g):
+        v = r.uniform(0.1, 1.0, g.cardinality(h.variable_id))
+        if sr.name == "boolean":
+            v = (v > 0.3).astype(float)
+        v[r.random(v.size) < zero_frac] = sr.zero
+        m[h] = v
+    return m
+
+
+SEMIRING_NAMES = ("sum_product", "max_product", "min_sum", "boolean")
+
+
+class TestFlatEngine:
+    @pytest.mark.parametrize("semiring", SEMIRING_NAMES)
+    def test_step_parallel_matches_single_edge_updates(self, semiring):
+        for seed in range(15):
+            g = in_semiring(random_graph(seed), semiring, 0.2, seed)
+            m = random_messages(g, seed + 100, zero_frac=0.25)
+            got = bp.step_parallel(g, m)
+            want = reference_step(g, m)
+            assert list(got) == list(want)
+            for h in want:
+                np.testing.assert_allclose(got[h], want[h], rtol=1e-12,
+                                           atol=0.0)
+
+    def test_step_parallel_keeps_input_key_order(self):
+        g = random_graph(4)
+        m = dict(reversed(list(random_messages(g, 0).items())))
+        assert list(bp.step_parallel(g, m)) == list(m)
+
+    @pytest.mark.parametrize("semiring", ("sum_product", "max_product"))
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"damping": 0.5}, {"init": "random", "seed": 11},
+        {"max_iters": 0}, {"max_iters": 7, "init": "random", "seed": 2}])
+    def test_run_matches_reference_loop(self, semiring, kwargs):
+        for seed in range(8):
+            g = in_semiring(random_graph(seed), semiring, 0.1, seed)
+            res = bp.run(g, **kwargs)
+            iters, conv, osc, trace, bel = reference_run(g, **kwargs)
+            assert (res.iterations, res.converged, res.oscillating) == \
+                (iters, conv, osc)
+            np.testing.assert_allclose(res.residual_trace, trace,
+                                       rtol=0.0, atol=1e-12)
+            assert len(res.beliefs) == len(bel)
+            for a, b in zip(res.beliefs, bel):
+                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+            assert list(res.messages) == bp.half_edges(g)
+
+    def test_scheduled_run_matches_reference_loop(self):
+        for seed in range(6):
+            g = in_semiring(random_graph(seed), "sum_product", 0.1, seed)
+            sched = bp.half_edges(g)[::-1]
+            res = bp.run(g, schedule=sched, damping=0.25)
+            iters, conv, osc, trace, bel = reference_run(
+                g, schedule=sched, damping=0.25)
+            assert (res.iterations, res.converged, res.oscillating) == \
+                (iters, conv, osc)
+            np.testing.assert_allclose(res.residual_trace, trace, rtol=0.0,
+                                       atol=1e-12)
+            for a, b in zip(res.beliefs, bel):
+                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+
+    def test_run_oscillation_matches_reference_loop(self):
+        g = gen_four_cycle("odd")
+        res = bp.run(g, init="random", seed=3)
+        iters, conv, osc, trace, bel = reference_run(g, init="random",
+                                                     seed=3)
+        assert (res.iterations, res.converged, res.oscillating) == \
+            (iters, conv, osc) == (200, False, True)
+        np.testing.assert_allclose(res.residual_trace, trace, rtol=0.0,
+                                   atol=1e-12)
+
+    def test_random_init_draws_in_half_edge_order(self):
+        g = random_graph(3)
+        r = np.random.default_rng(5)
+        m = bp.init_messages(g, "random", seed=5)
+        assert list(m) == bp.half_edges(g)
+        for h in bp.half_edges(g):
+            np.testing.assert_array_equal(
+                m[h], r.uniform(0.1, 1.0, g.cardinality(h.variable_id)))
+
+    def test_beliefs_match_single_edge_products(self):
+        for seed in range(10):
+            g = in_semiring(random_graph(seed), "sum_product", 0.2, seed)
+            m = random_messages(g, seed, zero_frac=0.3)
+            got, degenerate = bp.beliefs(g, m)
+            want = []
+            for v in g.variables:
+                b = np.ones(v.cardinality)
+                for f in g.var_neighbors(v.id):
+                    b = b * m[HalfEdge(f, v.id, Direction.FAC_TO_VAR)]
+                want.append(b)
+            assert degenerate == [i for i, b in enumerate(want)
+                                  if not b.any()]
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, g.ops.normalize(b),
+                                           rtol=1e-12, atol=0.0)

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_nerve_tree
 from hatcc import bp_engine as bp
+from hatcc import factor_graph
 from hatcc.compile import (CompiledModel, UnsatCertificate, augment,
                            build_selector, check_descent_datum,
                            cluster_tree_propagate, glue_restriction,
@@ -186,6 +187,23 @@ class TestHatccInfer:
             assert res.Z == Z
             for a, b in zip(bel, res.marginals):
                 assert np.array_equal(a, b)
+
+    def test_tree_path_checks_once(self, monkeypatch):
+        calls = {"validate": 0, "is_bipartite_forest": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(factor_graph, "validate")
+        counted(bp, "is_bipartite_forest")
+        res = hatcc_infer(random_nerve_tree(1))
+        assert "tree_bp" in res.timings
+        assert calls == {"validate": 1, "is_bipartite_forest": 1}
 
     def test_odd_cycle_unsat(self):
         res = hatcc_infer(gen_four_cycle("odd"))

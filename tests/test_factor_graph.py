@@ -185,6 +185,49 @@ class TestSemiringAxioms:
         assert mul(a, sr.zero) == sr.zero or np.isnan(mul(a, sr.zero))
 
 
+class TestNormalize:
+    @pytest.mark.parametrize("name", sorted(SEMIRINGS))
+    def test_stacked_rows_match_vectors(self, name):
+        sr = SEMIRINGS[name]
+        rows = [[0.2, 0.6, 0.2], [0.0, 0.0, 0.0], [3.0, 1.0, 0.5]]
+        if name == "min_sum":
+            rows += [[np.inf, np.inf, np.inf], [np.inf, 2.0, 0.5]]
+        rows = np.array(rows)
+        got = sr.normalize(rows[:, None, :])
+        assert got.shape == (len(rows), 1, 3)
+        for row, out in zip(rows, got):
+            np.testing.assert_array_equal(out[0], sr.normalize(row))
+
+    def test_degenerate_rows_unchanged(self):
+        zero = np.zeros((2, 3))
+        for name in ("sum_product", "max_product", "boolean"):
+            np.testing.assert_array_equal(SEMIRINGS[name].normalize(zero),
+                                          zero)
+        inf = np.full((2, 3), np.inf)
+        np.testing.assert_array_equal(SEMIRINGS["min_sum"].normalize(inf),
+                                      inf)
+        np.testing.assert_array_equal(
+            SEMIRINGS["sum_product"].normalize([[1.0, 3.0], [0.0, 0.0]]),
+            [[0.25, 0.75], [0.0, 0.0]])
+        np.testing.assert_array_equal(
+            SEMIRINGS["min_sum"].normalize([[2.0, 3.0], [np.inf, np.inf]]),
+            [[0.0, 1.0], [np.inf, np.inf]])
+
+
+class TestVarNeighbors:
+    def test_ascending_ids_and_fresh_list(self):
+        g = FactorGraph("sum_product", tuple(VariableDecl(i, 2)
+                                              for i in range(4)),
+                        (FactorDecl(0, (2, 0), np.ones(4)),
+                         FactorDecl(1, (1,), np.ones(2)),
+                         FactorDecl(2, (0, 1), np.ones(4)),
+                         FactorDecl(3, (), [1.0])))
+        assert [g.var_neighbors(v) for v in range(4)] == \
+            [[0, 2], [1, 2], [0], []]
+        g.var_neighbors(0).append(3)
+        assert g.var_neighbors(0) == [0, 2]
+
+
 class TestJsonIO:
     def test_round_trip(self, tmp_path):
         g = gen_four_cycle("odd")
