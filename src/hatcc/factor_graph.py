@@ -8,6 +8,7 @@ ascending variable id.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -26,6 +27,8 @@ class Semiring:
     ``add``/``mul`` operate elementwise on arrays; ``add_reduce`` folds
     ``add`` along the given axes.  ``supports_division`` marks semirings
     where beliefs can be normalized by dividing by their ``add``-total.
+    ``forbidden_rules`` pairs a description with an elementwise test for
+    table entries the semiring cannot hold (NaN is always forbidden).
     """
 
     name: str
@@ -35,6 +38,19 @@ class Semiring:
     zero: float
     one: float
     supports_division: bool
+    forbidden_rules: tuple[tuple[str, Callable[[np.ndarray], np.ndarray]],
+                           ...]
+
+    def forbidden(self, table: np.ndarray) -> list[str]:
+        """Descriptions of the forbidden entries in ``table``, if any.
+
+        A NaN entry is reported alone; otherwise each rule that some
+        entry breaks is reported once.
+        """
+        if np.isnan(table).any():
+            return ["NaN entry"]
+        return [f"{what} under {self.name}"
+                for what, test in self.forbidden_rules if test(table).any()]
 
     def is_zero(self, x, tol: float = 0.0):
         """Support predicate: True where x counts as the semiring zero.
@@ -71,25 +87,30 @@ class Semiring:
         return vec / total
 
 
+# product semirings take finite nonnegative weights
+_WEIGHT_RULES = (("infinite entry", np.isinf),
+                 ("negative entry", lambda x: x < 0.0))
+
 SEMIRINGS: dict[str, Semiring] = {
     "sum_product": Semiring(
         "sum_product", np.add, np.multiply,
         lambda a, axis: np.add.reduce(a, axis=axis),
-        0.0, 1.0, True),
+        0.0, 1.0, True, _WEIGHT_RULES),
     "max_product": Semiring(
         "max_product", np.maximum, np.multiply,
         lambda a, axis: np.maximum.reduce(a, axis=axis),
-        0.0, 1.0, True),
-    # tropical: zero = +inf, one = 0
+        0.0, 1.0, True, _WEIGHT_RULES),
+    # tropical: zero = +inf, one = 0; +inf marks a forbidden state
     "min_sum": Semiring(
         "min_sum", np.minimum, np.add,
         lambda a, axis: np.minimum.reduce(a, axis=axis),
-        np.inf, 0.0, False),
+        np.inf, 0.0, False, (("-inf entry", np.isneginf),)),
     # boolean on {0,1}: add = OR, mul = AND
     "boolean": Semiring(
         "boolean", np.maximum, np.minimum,
         lambda a, axis: np.maximum.reduce(a, axis=axis),
-        0.0, 1.0, False),
+        0.0, 1.0, False,
+        (("entry other than 0 or 1", lambda x: (x != 0.0) & (x != 1.0)),)),
 }
 
 
@@ -196,6 +217,7 @@ def validate(graph: FactorGraph) -> list[str]:
                             "ids must be contiguous 0..n-1")
         if v.cardinality < 1:
             problems.append(f"variable {v.id}: cardinality {v.cardinality} < 1")
+    shaped = []  # factors whose table fits their scope
     for j, f in enumerate(graph.factors):
         if f.id != j:
             problems.append(f"factor at position {j} has id {f.id}; "
@@ -208,28 +230,18 @@ def validate(graph: FactorGraph) -> list[str]:
         if bad:
             problems.append(f"factor {f.id}: unknown variable id(s) {bad}")
             continue
-        expected = int(np.prod(graph.scope_shape(f.scope), dtype=np.int64))
+        expected = math.prod(graph.scope_shape(f.scope))
         if f.table.size != expected:
             problems.append(f"factor {f.id}: table length {f.table.size} "
                             f"!= expected {expected}")
             continue
-        if not np.isfinite(f.table).all():
-            if np.isnan(f.table).any():
-                problems.append(f"factor {f.id}: NaN entry")
-                continue
-            if graph.semiring in ("sum_product", "max_product"):
-                problems.append(f"factor {f.id}: infinite entry under "
-                                f"{graph.semiring}")
-            if graph.semiring == "min_sum" and np.isneginf(f.table).any():
-                problems.append(f"factor {f.id}: -inf entry under min_sum")
-        if graph.semiring in ("sum_product", "max_product"):
-            if np.any(f.table < 0.0):
-                problems.append(f"factor {f.id}: negative entry under "
-                                f"{graph.semiring}")
-        if graph.semiring == "boolean":
-            if not np.all(np.isin(f.table, (0.0, 1.0))):
-                problems.append(f"factor {f.id}: boolean table entries must "
-                                "be 0 or 1")
+        shaped.append(f)
+    # one pass over every table; name the factors only on a violation
+    sr = graph.ops
+    if shaped and sr.forbidden(np.concatenate([f.table for f in shaped])):
+        for f in shaped:
+            problems.extend(f"factor {f.id}: {what}"
+                            for what in sr.forbidden(f.table))
     return problems
 
 

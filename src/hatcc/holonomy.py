@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -100,15 +100,17 @@ def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def holonomy_matrix(graph: FactorGraph, cycle: FundamentalCycle,
-                    tol: float = 0.0,
-                    cap: int = DEFAULT_INTERFACE_CAP) -> HolonomyMatrix:
+                    tol: float = 0.0, cap: int = DEFAULT_INTERFACE_CAP, *,
+                    _kernels: Optional[dict] = None) -> HolonomyMatrix:
     """Compose transport kernels around a fundamental cycle.
 
     The composition starts and ends at the chord interface: the first
     kernel carries chord-interface states into the path through the
     chord's far endpoint, then each path factor carries them one
     interface further, and the last kernel returns through the chord's
-    near endpoint.
+    near endpoint.  ``_kernels`` is ``diagnose``'s memo of the kernels
+    built so far for this graph and ``tol``, keyed by (factor, source,
+    target).
     """
     factors = cycle.factor_sequence
     interfaces = cycle.interface_sequence
@@ -118,13 +120,19 @@ def holonomy_matrix(graph: FactorGraph, cycle: FundamentalCycle,
             raise InterfaceCapExceeded(
                 f"interface {J} has {size} states, exceeding the cap "
                 f"{cap}; refusing to build the holonomy matrix")
+    kernels = {} if _kernels is None else _kernels
+
+    def kernel(fid: int, source: tuple, target: tuple) -> np.ndarray:
+        key = (fid, source, target)
+        if key not in kernels:
+            kernels[key] = transport_kernel(graph, fid, source, target,
+                                            tol).matrix
+        return kernels[key]
+
     chord_iface = interfaces[-1]
-    H = transport_kernel(graph, factors[0], chord_iface, interfaces[0],
-                         tol).matrix
+    H = kernel(factors[0], chord_iface, interfaces[0])
     for i in range(1, len(factors)):
-        K = transport_kernel(graph, factors[i], interfaces[i - 1],
-                             interfaces[i], tol).matrix
-        H = compose(H, K)
+        H = compose(H, kernel(factors[i], interfaces[i - 1], interfaces[i]))
     return HolonomyMatrix(cycle.chord, chord_iface, H)
 
 
@@ -187,13 +195,18 @@ class HolonomyReport:
 
 def diagnose(graph: FactorGraph, tol: float = 0.0,
              cap: int = DEFAULT_INTERFACE_CAP) -> HolonomyReport:
-    """Nerve, backbone, and per-chord holonomy/mode analysis."""
+    """Nerve, backbone, and per-chord holonomy/mode analysis.
+
+    Each transport kernel is built once and shared by every chord whose
+    cycle passes through it.
+    """
     nerve = build_factor_nerve(graph)
     bb = build_backbone(nerve)
+    kernels: dict = {}
     chords = []
     for chord in bb.chords:
         cycle = fundamental_cycle(graph, bb, chord)
-        H = holonomy_matrix(graph, cycle, tol, cap)
+        H = holonomy_matrix(graph, cycle, tol, cap, _kernels=kernels)
         chords.append(ChordReport(cycle, H, mode_quotient(H)))
     return HolonomyReport(nerve, bb, tuple(chords))
 

@@ -1,17 +1,33 @@
 """Factor nerve, backbone spanning tree, chords, fundamental cycles.
 
-The nerve has one vertex per factor and an edge wherever two factor
-scopes overlap, weighted by the log-cardinality of the shared interface.
-A maximum-weight spanning forest is the backbone; the remaining edges
-are chords, each closing one fundamental cycle through the tree.
+The nerve has one vertex per factor.  Its edges join factors whose scopes
+overlap, weighted by the log-cardinality of the shared interface, but not
+every overlapping pair: for each variable, Kruskal's algorithm picks a
+maximum-weight spanning tree of the factors holding it, and the nerve is
+the union of these per-variable trees (a junction graph in the sense of
+Aji & McEliece 2000).  A maximum-weight spanning forest of the nerve is
+the backbone; the remaining edges are chords, each closing one
+fundamental cycle through the tree.
+
+The backbone is the one the all-pairs nerve (every overlapping pair an
+edge) would give.  Both use the strict total order ``(-weight, f1, f2)``.
+By the cut property, each edge of the all-pairs maximum spanning forest T
+comes first in that order across some cut of its component, so it also
+comes first across that cut among the holders of any variable it shares,
+and that variable's tree takes it.  Hence T lies in the sparse nerve, and
+Kruskal there returns T again (Jensen & Jensen 1994 prove the spanning
+tree property of clique intersection graphs this rests on).  The edges
+left out are chords that close cycles around a single variable, whose
+holonomy is trivial; a backbone that satisfies running intersection
+leaves no chord at all.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 from typing import Optional
-
-import numpy as np
 
 from .factor_graph import FactorGraph
 from .trees import UnionFind, bfs, tree_path
@@ -29,10 +45,16 @@ class NerveEdge:
         return (self.f1, self.f2)
 
 
+def _kruskal_order(e: NerveEdge) -> tuple[float, int, int]:
+    """Heaviest first, ties to the smaller (f1, f2): a strict total order."""
+    return (-e.weight, e.f1, e.f2)
+
+
 @dataclass(frozen=True)
 class FactorNerve:
     vertices: tuple[int, ...]
     edges: tuple[NerveEdge, ...]
+    overlaps: tuple[int, ...]  # per factor: other factors sharing a variable
 
     def edge_map(self) -> dict[tuple[int, int], NerveEdge]:
         return {e.key: e for e in self.edges}
@@ -49,6 +71,11 @@ class Backbone:
     def root(self) -> int:
         return self.roots[0]
 
+    @cached_property
+    def tree_interfaces(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Tree edge key -> interface."""
+        return {e.key: e.interface for e in self.tree_edges}
+
 
 @dataclass(frozen=True)
 class FundamentalCycle:
@@ -58,18 +85,42 @@ class FundamentalCycle:
 
 
 def build_factor_nerve(graph: FactorGraph) -> FactorNerve:
-    """All-pairs scope overlap scan."""
+    """Union of per-variable maximum-weight spanning trees.
+
+    For each variable, Kruskal in the backbone's order ``(-weight, f1,
+    f2)`` joins the factors holding it.  An edge's interface is the full
+    scope intersection of its two factors and its weight the sum of the
+    interface's log-cardinalities, computed once per overlapping pair.
+    Edges come sorted by key.  See the module docstring for why the
+    backbone equals the all-pairs nerve's.
+    """
     scopes = [set(f.scope) for f in graph.factors]
-    edges = []
-    for i in range(len(scopes)):
-        for j in range(i + 1, len(scopes)):
-            shared = scopes[i] & scopes[j]
-            if not shared:
-                continue
-            interface = tuple(sorted(shared))
-            w = sum(math.log(graph.cardinality(v)) for v in interface)
-            edges.append(NerveEdge(i, j, interface, w))
-    return FactorNerve(tuple(range(len(scopes))), tuple(edges))
+    holders: dict[int, list[int]] = {}
+    for i, f in enumerate(graph.factors):
+        for v in f.scope:
+            holders.setdefault(v, []).append(i)
+    pairs: dict[tuple[int, int], NerveEdge] = {}
+    chosen: dict[tuple[int, int], NerveEdge] = {}
+    for hs in holders.values():
+        clique = []
+        for i, j in combinations(hs, 2):
+            e = pairs.get((i, j))
+            if e is None:
+                interface = tuple(sorted(scopes[i] & scopes[j]))
+                w = sum(math.log(graph.cardinality(v)) for v in interface)
+                e = pairs[i, j] = NerveEdge(i, j, interface, w)
+            clique.append(e)
+        uf = UnionFind()
+        for e in sorted(clique, key=_kruskal_order):
+            if uf.union(e.f1, e.f2):
+                chosen[e.key] = e
+    overlaps = [0] * len(scopes)
+    for i, j in pairs:
+        overlaps[i] += 1
+        overlaps[j] += 1
+    return FactorNerve(tuple(range(len(scopes))),
+                       tuple(chosen[k] for k in sorted(chosen)),
+                       tuple(overlaps))
 
 
 def backbone(nerve: FactorNerve) -> Backbone:
@@ -77,10 +128,10 @@ def backbone(nerve: FactorNerve) -> Backbone:
 
     Equal-weight ties prefer the lexicographically smaller (f1, f2).
     Disconnected nerves yield one tree and one root per component; each
-    root is the component's factor of highest nerve degree, ties to the
-    smallest id.
+    root is the component's factor that overlaps the most other factors
+    (``nerve.overlaps``), ties to the smallest id.
     """
-    order = sorted(nerve.edges, key=lambda e: (-e.weight, e.f1, e.f2))
+    order = sorted(nerve.edges, key=_kruskal_order)
     uf = UnionFind()
     tree, chords = [], []
     for e in order:
@@ -95,11 +146,6 @@ def backbone(nerve: FactorNerve) -> Backbone:
     for e in tree:
         adj[e.f1].append((e.f2, None))
         adj[e.f2].append((e.f1, None))
-    degree = {v: 0 for v in nerve.vertices}
-    for e in nerve.edges:
-        degree[e.f1] += 1
-        degree[e.f2] += 1
-
     seen: set[int] = set()
     roots: list[int] = []
     parent: dict[int, Optional[int]] = {}
@@ -109,7 +155,7 @@ def backbone(nerve: FactorNerve) -> Backbone:
         # collect the component first so the root choice sees all of it
         comp = [node for node, _par, _ in bfs(adj, [v])]
         seen.update(comp)
-        root = max(comp, key=lambda u: (degree[u], -u))
+        root = max(comp, key=lambda u: (nerve.overlaps[u], -u))
         roots.append(root)
         parent.update((node, par) for node, par, _ in bfs(adj, [root]))
     return Backbone(tuple(tree), tuple(chords), tuple(roots), parent)
@@ -120,17 +166,12 @@ def fundamental_cycle(graph: FactorGraph, bb: Backbone,
     """Tree path between the chord endpoints plus the chord itself.
 
     The factor sequence runs from the chord's second endpoint to its
-    first; interfaces are consecutive scope intersections, and the last
-    interface is the chord's own.
+    first; interfaces are those of the backbone edges along the path,
+    and the last interface is the chord's own.
     """
     path = tree_path(bb.parent.get, chord.f2, chord.f1)
-    interfaces = []
-    for a, b in zip(path, path[1:]):
-        shared = set(graph.factors[a].scope) & set(graph.factors[b].scope)
-        if not shared:
-            raise ValueError(f"backbone path factors {a},{b} share no "
-                             "variable")
-        interfaces.append(tuple(sorted(shared)))
+    interfaces = [bb.tree_interfaces[min(a, b), max(a, b)]
+                  for a, b in zip(path, path[1:])]
     interfaces.append(chord.interface)
     return FundamentalCycle(chord, tuple(path), tuple(interfaces))
 

@@ -143,23 +143,32 @@ def calibrate(sr: Semiring, scopes: Sequence[Sequence[int]],
         adj[b].append((a, sep))
     messages: dict[tuple[int, int], np.ndarray] = {}
 
-    def gather(c: int, skip: Optional[int] = None) -> np.ndarray:
-        acc = tables[c]
-        for nb, _sep in adj[c]:
-            if nb != skip:
-                acc = sr.mul(acc, messages[nb, c])
-        return acc
-
-    def send(src: int, dst: int, sep: Sequence[int]) -> None:
-        messages[src, dst] = _message(sr, gather(src, dst), scopes[src],
-                                      sep, scopes[dst])
+    def send(src: int, dst: int, sep: Sequence[int], acc: np.ndarray) -> None:
+        messages[src, dst] = _message(sr, acc, scopes[src], sep, scopes[dst])
 
     order = bfs(adj, [*roots, *range(len(scopes))])
     for node, par, sep in reversed(order):
         if par is not None:
-            send(node, par, sep)
-    for node, par, sep in order:
-        if par is not None:
-            send(par, node, sep)
-    beliefs = [gather(c) for c in range(len(scopes))]
+            acc = tables[node]
+            for nb, _sep in adj[node]:
+                if nb != par:
+                    acc = sr.mul(acc, messages[nb, node])
+            send(node, par, sep, acc)
+    # Downward: each child's message is the table times the exclusive
+    # product of the other incoming messages, a prefix times a suffix
+    # product, so a cluster of degree d costs O(d) multiplies; no
+    # division, which min-sum and zero entries forbid.
+    beliefs: list = [None] * len(scopes)
+    for node, par, _sep in order:
+        incoming = [messages[nb, node] for nb, _sep in adj[node]]
+        suffix: list = [None] * len(incoming)  # None: the empty product
+        for i in range(len(incoming) - 1, 0, -1):
+            suffix[i - 1] = incoming[i] if suffix[i] is None \
+                else sr.mul(incoming[i], suffix[i])
+        acc = tables[node]
+        for (nb, sep), msg, rest in zip(adj[node], incoming, suffix):
+            if nb != par:
+                send(node, nb, sep, acc if rest is None else sr.mul(acc, rest))
+            acc = sr.mul(acc, msg)
+        beliefs[node] = acc
     return beliefs, [node for node, par, _sep in order if par is None]

@@ -1,7 +1,12 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from hatcc.factor_graph import FactorDecl, FactorGraph, VariableDecl
+from hatcc.factor_graph import (FactorDecl, FactorGraph, VariableDecl,
+                                joint_weight)
+from hatcc.nerve import FactorNerve, NerveEdge
 
 
 def random_pairwise_tree(seed: int, n: int = 10,
@@ -60,3 +65,35 @@ def random_graph(seed: int, n: int = 6, m: int = 5,
         size = int(np.prod([variables[v].cardinality for v in scope]))
         factors.append(FactorDecl(j, scope, r.uniform(0.1, 2.0, size)))
     return FactorGraph("sum_product", variables, tuple(factors))
+
+
+def brute_force(graph: FactorGraph):
+    """Semiring total and per-variable best-weight marginals, normalized
+    by the semiring (min subtracted under min-sum, max divided out under
+    max-product)."""
+    sr = graph.ops
+    cards = [v.cardinality for v in graph.variables]
+    marg = [np.full(c, sr.zero) for c in cards]
+    total = sr.zero
+    for state in itertools.product(*map(range, cards)):
+        w = joint_weight(graph, state)
+        total = sr.add(total, w)
+        for v, s in enumerate(state):
+            marg[v][s] = sr.add(marg[v][s], w)
+    return float(total), [sr.normalize(m) for m in marg]
+
+
+def all_pairs_nerve(graph: FactorGraph) -> FactorNerve:
+    """Reference nerve: every pair of factors whose scopes overlap."""
+    scopes = [set(f.scope) for f in graph.factors]
+    edges = []
+    overlaps = [0] * len(scopes)
+    for i, j in itertools.combinations(range(len(scopes)), 2):
+        interface = tuple(sorted(scopes[i] & scopes[j]))
+        if interface:
+            w = sum(math.log(graph.cardinality(v)) for v in interface)
+            edges.append(NerveEdge(i, j, interface, w))
+            overlaps[i] += 1
+            overlaps[j] += 1
+    return FactorNerve(tuple(range(len(scopes))), tuple(edges),
+                       tuple(overlaps))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_nerve_tree
+from conftest import all_pairs_nerve, brute_force, random_nerve_tree
 from hatcc import bp_engine as bp
-from hatcc import factor_graph
+from hatcc import factor_graph, holonomy
 from hatcc.compile import (CompiledModel, UnsatCertificate, augment,
                            build_selector, check_descent_datum,
                            cluster_tree_propagate, glue_restriction,
@@ -90,14 +90,16 @@ class TestAugment:
         compiled = augment(cycle, diagnose(cycle))
         assert compiled.running_intersection_ok is False
         assert compiled.ri_violations == (5,)
-        # a spanning tree: every nerve cycle is a clique around a variable
+        # a spanning tree: the all-pairs nerve's cycles are cliques around
+        # one variable, which the sparse nerve leaves out
         star = gen_permutation_graph("random", 3, 0.1, 3, consistent=True,
                                      n=7, p=0.0).graph
         rep = diagnose(star)
-        assert len(rep.backbone.chords) == 6
+        assert len(rep.backbone.chords) == 0
         compiled = augment(star, rep)
         assert compiled.running_intersection_ok is True
         assert compiled.ri_violations == ()
+        assert "tree_bp" in hatcc_infer(star).timings
 
     def test_tree_identity_on_generated_instances(self):
         for seed in range(10):
@@ -241,6 +243,48 @@ class TestHatccInfer:
         assert res.running_intersection_ok
         assert res.Z == truth.Z == 1024
         assert mean_tv(res.marginals, truth.marginals) < 1e-12
+
+    @pytest.mark.parametrize("semiring",
+                             ["sum_product", "max_product", "min_sum"])
+    def test_sparse_nerve_no_worse_than_all_pairs(self, semiring,
+                                                  monkeypatch):
+        graphs = []
+        for seed in range(6):
+            for consistent in (True, False):
+                for noise in (0.0, 0.2):
+                    g = gen_permutation_graph("random", 3, noise, seed,
+                                              consistent=consistent, n=6,
+                                              p=0.5).graph
+                    tables = [f.table for f in g.factors]
+                    if semiring == "min_sum":
+                        with np.errstate(divide="ignore"):
+                            tables = [-np.log(t) for t in tables]
+                    graphs.append(FactorGraph(
+                        semiring, g.variables,
+                        tuple(FactorDecl(f.id, f.scope, t)
+                              for f, t in zip(g.factors, tables))))
+
+        def exact(res, Z, marg):
+            if res.status == "unsat":
+                return Z == SEMIRINGS[semiring].zero
+            return (np.isclose(res.Z, Z, rtol=1e-10, atol=1e-10)
+                    and all(np.allclose(a, b, rtol=1e-10, atol=1e-10)
+                            for a, b in zip(res.marginals, marg)))
+
+        reference_exact = 0
+        for g in graphs:
+            new = hatcc_infer(g)
+            with monkeypatch.context() as m:
+                m.setattr(holonomy, "build_factor_nerve", all_pairs_nerve)
+                ref = hatcc_infer(g)
+            assert len(new.report.backbone.chords) <= \
+                len(ref.report.backbone.chords)
+            assert new.status == ref.status
+            Z, marg = brute_force(g)
+            if exact(ref, Z, marg):
+                reference_exact += 1
+                assert exact(new, Z, marg)
+        assert reference_exact >= len(graphs) // 2
 
     def test_phase_timings_present(self):
         res = hatcc_infer(gen_four_cycle("even"))

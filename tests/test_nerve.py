@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import (all_pairs_nerve, random_graph, random_nerve_tree,
+                      random_pairwise_tree)
+from hatcc.compile import UnsatCertificate, augment
 from hatcc.factor_graph import FactorDecl, FactorGraph, VariableDecl
-from hatcc.generators import gen_four_cycle, gen_grid_mrf
+from hatcc.generators import (gen_four_cycle, gen_grid_mrf,
+                              gen_permutation_graph, gen_zk_sync)
+from hatcc.holonomy import diagnose
 from hatcc.nerve import (backbone, build_factor_nerve, fundamental_cycle,
                          to_dot)
+from hatcc.trees import UnionFind
 
 
 class TestBuildNerve:
@@ -114,9 +119,14 @@ class TestFundamentalCycle:
                          FactorDecl(1, (0, 1, 2), [1.0] * 8),
                          FactorDecl(2, (1, 2), [1.0] * 4)))
         bb = backbone(build_factor_nerve(g))
-        assert len(bb.chords) == 1
-        cyc = fundamental_cycle(g, bb, bb.chords[0])
-        assert len(cyc.factor_sequence) == len(cyc.interface_sequence)
+        # the all-pairs chord (0, 2) closes a cycle around variable 1 only
+        assert bb.chords == ()
+        full = backbone(all_pairs_nerve(g))
+        assert full.tree_edges == bb.tree_edges
+        assert [c.key for c in full.chords] == [(0, 2)]
+        cyc = fundamental_cycle(g, bb, full.chords[0])
+        assert cyc.factor_sequence == (2, 1, 0)
+        assert cyc.interface_sequence == ((1, 2), (0, 1), (1,))
 
     def test_cycles_are_simple(self):
         for seed in range(15):
@@ -126,6 +136,127 @@ class TestFundamentalCycle:
                 cyc = fundamental_cycle(g, bb, chord)
                 assert len(set(cyc.factor_sequence)) == \
                     len(cyc.factor_sequence)
+
+
+def reference_backbone(graph):
+    """All-pairs nerve, Kruskal by (-weight, f1, f2), each component rooted
+    at its factor of highest all-pairs degree (ties to the smallest id)."""
+    nerve = all_pairs_nerve(graph)
+    uf = UnionFind()
+    tree = [e for e in sorted(nerve.edges,
+                              key=lambda e: (-e.weight, e.f1, e.f2))
+            if uf.union(e.f1, e.f2)]
+    degree = {v: 0 for v in nerve.vertices}
+    adj = {v: [] for v in nerve.vertices}
+    for e in nerve.edges:
+        degree[e.f1] += 1
+        degree[e.f2] += 1
+    for e in tree:
+        adj[e.f1].append(e.f2)
+        adj[e.f2].append(e.f1)
+    roots, parent = [], {}
+    for v in nerve.vertices:
+        if v in parent:
+            continue
+        comp = [u for u in nerve.vertices if uf.find(u) == uf.find(v)]
+        root = max(comp, key=lambda u: (degree[u], -u))
+        roots.append(root)
+        parent[root] = None
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in parent:
+                    parent[y] = x
+                    stack.append(y)
+    return sorted(tree, key=lambda e: e.key), roots, parent
+
+
+def sample_graphs():
+    graphs = [random_graph(seed, n=6, m=7) for seed in range(40)]
+    graphs += [random_graph(seed, n=8, m=10) for seed in range(10)]
+    graphs += [gen_grid_mrf(r, c, 2.0, f, 0)
+               for r, c in ((3, 3), (4, 4), (3, 5)) for f in (0.0, 0.3)]
+    for seed in range(5):
+        for consistent in (True, False):
+            graphs.append(gen_permutation_graph(
+                "random", 3, 0.1, seed, consistent=consistent, n=7,
+                p=0.5).graph)
+        graphs.append(gen_zk_sync("random", 3, 0.1, 0.5, seed, n=7,
+                                  p=0.4).graph)
+        graphs.append(gen_zk_sync("cycle", 2, 0.1, 1.0, seed, n=6).graph)
+        graphs.append(random_nerve_tree(seed))
+        graphs.append(random_pairwise_tree(seed))
+    return graphs
+
+
+def bipartite_cycle_rank(graph):
+    """Independent cycles of the variable-factor incidence graph."""
+    uf = UnionFind()
+    nodes = set()
+    incidences = 0
+    for f in graph.factors:
+        nodes.add(("f", f.id))
+        for v in f.scope:
+            incidences += 1
+            nodes.add(("v", v))
+            uf.union(("f", f.id), ("v", v))
+    components = len({uf.find(x) for x in nodes})
+    return incidences - len(nodes) + components
+
+
+class TestSparseNerve:
+    def test_backbone_matches_all_pairs_reference(self):
+        for g in sample_graphs():
+            bb = backbone(build_factor_nerve(g))
+            tree, roots, parent = reference_backbone(g)
+            assert list(bb.tree_edges) == tree
+            assert list(bb.roots) == roots
+            assert bb.parent == parent
+
+    def test_edges_subset_of_all_pairs(self):
+        for g in sample_graphs():
+            full = all_pairs_nerve(g).edge_map()
+            nerve = build_factor_nerve(g)
+            assert [e.key for e in nerve.edges] == sorted(nerve.edge_map())
+            for e in nerve.edges:
+                assert full[e.key] == e
+
+    def test_holders_connected_through_their_variable(self):
+        for g in sample_graphs():
+            nerve = build_factor_nerve(g)
+            for v in range(len(g.variables)):
+                holders = g.var_neighbors(v)
+                uf = UnionFind()
+                for e in nerve.edges:
+                    if v in e.interface:
+                        uf.union(e.f1, e.f2)
+                assert len({uf.find(f) for f in holders}) <= 1
+
+    def test_chords_at_most_bipartite_cycle_rank(self):
+        for g in sample_graphs():
+            bb = backbone(build_factor_nerve(g))
+            assert len(bb.chords) <= bipartite_cycle_rank(g)
+
+    @pytest.mark.parametrize("rows,cols", [(3, 3), (4, 5), (6, 6)])
+    @pytest.mark.parametrize("field", [0.0, 0.3])
+    def test_chords_equal_cycle_rank_on_pairwise_grids(self, rows, cols,
+                                                       field):
+        g = gen_grid_mrf(rows, cols, 2.0, field, 0)
+        bb = backbone(build_factor_nerve(g))
+        assert len(bb.chords) == bipartite_cycle_rank(g) \
+            == (rows - 1) * (cols - 1)
+
+    def test_no_chords_iff_running_intersection(self):
+        seen = set()
+        for g in sample_graphs():
+            rep = diagnose(g)
+            compiled = augment(g, rep)
+            assert not isinstance(compiled, UnsatCertificate)
+            no_chords = not rep.backbone.chords
+            assert no_chords == compiled.running_intersection_ok
+            seen.add(no_chords)
+        assert seen == {True, False}
 
 
 def test_dot_export_styles():

@@ -1,29 +1,15 @@
-"""The exact tree path under min-sum and max-product, against enumeration."""
-import itertools
+"""The exact tree path under min-sum and max-product, against enumeration,
+and the cost of calibration."""
+import dataclasses
 
 import numpy as np
 
+from conftest import brute_force
 from hatcc import bp_engine as bp
 from hatcc.compile import hatcc_infer
-from hatcc.factor_graph import (FactorDecl, FactorGraph, VariableDecl,
-                                joint_weight)
+from hatcc.factor_graph import SEMIRINGS, FactorDecl, FactorGraph, VariableDecl
 from hatcc.oracle import exact_map
-
-
-def brute_force(graph: FactorGraph):
-    """Semiring total and per-variable best-weight marginals, normalized
-    by the semiring (min subtracted under min-sum, max divided out under
-    max-product)."""
-    sr = graph.ops
-    cards = [v.cardinality for v in graph.variables]
-    marg = [np.full(c, sr.zero) for c in cards]
-    total = sr.zero
-    for state in itertools.product(*map(range, cards)):
-        w = joint_weight(graph, state)
-        total = sr.add(total, w)
-        for v, s in enumerate(state):
-            marg[v][s] = sr.add(marg[v][s], w)
-    return float(total), [sr.normalize(m) for m in marg]
+from hatcc.trees import calibrate
 
 
 def chain(seed: int, n: int, semiring: str) -> FactorGraph:
@@ -84,3 +70,30 @@ def test_two_component_forest_matches_enumeration():
                          FactorDecl(1, (1,), [0.3, 2.0, 1.0]),
                          FactorDecl(2, (), [const])))
         check_tree_path(g)
+
+
+def test_calibrate_multiplies_linear_in_cluster_degree():
+    # a hub cluster joined to d leaves, all over one binary variable: every
+    # belief is the product of all d + 1 tables
+    def multiplies(d):
+        calls = 0
+
+        def mul(a, b):
+            nonlocal calls
+            calls += 1
+            return np.multiply(a, b)
+
+        sr = dataclasses.replace(SEMIRINGS["sum_product"], mul=mul)
+        tables = list(np.random.default_rng(d).uniform(0.5, 2.0, (d + 1, 2)))
+        beliefs, roots = calibrate(sr, [(0,)] * (d + 1), tables,
+                                   [(0, i, (0,)) for i in range(1, d + 1)])
+        assert roots == [0]
+        for b in beliefs:
+            np.testing.assert_allclose(b, np.prod(tables, axis=0),
+                                       rtol=1e-12)
+        return calls
+
+    counts = [multiplies(d) for d in (100, 200, 400)]
+    # O(d) doubles with d; the O(d^2) gather quadrupled
+    for small, big in zip(counts, counts[1:]):
+        assert big < 2.5 * small, counts
