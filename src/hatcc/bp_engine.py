@@ -431,21 +431,13 @@ def run_tree_exact(graph: FactorGraph):
     validate_strict(graph)
     if not is_bipartite_forest(graph):
         raise ValueError("run_tree_exact requires an acyclic factor graph")
-    return _calibrate_forest(graph)
-
-
-def _calibrate_forest(graph: FactorGraph):
-    """``run_tree_exact`` on a graph already validated and known acyclic."""
     sr = graph.ops
     m = len(graph.factors)
     scopes = [f.scope for f in graph.factors]
     scopes += [(v.id,) for v in graph.variables]
     tables = [graph.factor_nd(f) for f in graph.factors]
     tables += [np.full(v.cardinality, sr.one) for v in graph.variables]
-    bel, roots = calibrate(sr, scopes, tables, _incidence(graph))
-    Z = sr.one
-    for r in roots:
-        Z = sr.mul(Z, sr.add_reduce(bel[r], None))
+    bel, Z = calibrate(sr, scopes, tables, _incidence(graph))
     degenerate = [v.id for v in graph.variables
                   if np.all(sr.is_zero(bel[m + v.id]))]
-    return [sr.normalize(b) for b in bel[m:]], float(Z), degenerate
+    return [sr.normalize(b) for b in bel[m:]], Z, degenerate

@@ -8,6 +8,7 @@ is an UNSAT certificate, returned as a result rather than raised.
 """
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -15,12 +16,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import bp_engine
 from .factor_graph import (FactorDecl, FactorGraph, PotentialSlice, Semiring,
                            VariableDecl, restrict, validate_strict)
-from .holonomy import (ChordReport, HolonomyMatrix, HolonomyReport,
-                       ModeQuotient, diagnose, report_to_json_dict)
-from .nerve import NerveEdge
+from .holonomy import (HolonomyMatrix, HolonomyReport, ModeQuotient,
+                       diagnose, report_to_json_dict)
 from .trees import calibrate
 
 
@@ -53,7 +52,6 @@ class ClusterEdge:
 class CompiledModel:
     graph: FactorGraph  # augmented
     original_var_count: int
-    original_factor_count: int
     mode_vars: dict  # chord key -> mode variable id
     selector_ids: dict  # chord key -> selector factor id
     cluster_edges: tuple[ClusterEdge, ...]
@@ -62,7 +60,7 @@ class CompiledModel:
     ri_violations: tuple[int, ...]  # variable ids
 
 
-def build_selector(graph: FactorGraph, chord: NerveEdge, H: HolonomyMatrix,
+def build_selector(graph: FactorGraph, H: HolonomyMatrix,
                    Q: ModeQuotient) -> Union[SelectorFactor, UnsatCertificate]:
     """Indicator tying an interface state to its mode and feasibility.
 
@@ -70,17 +68,17 @@ def build_selector(graph: FactorGraph, chord: NerveEdge, H: HolonomyMatrix,
     (H(x, x) = 1).  A selector with no support certifies UNSAT.
     """
     sr = graph.ops
-    iface_shape = tuple(graph.cardinality(v) for v in H.interface)
-    n_states = int(np.prod(iface_shape, dtype=np.int64))
+    iface_shape = graph.scope_shape(H.interface)
+    n_states = math.prod(iface_shape)
     n_modes = len(Q.modes)
     flat = np.full((n_states, n_modes), sr.zero)
     fixed = Q.fixed_point_mask
     flat[fixed, Q.quotient[fixed]] = sr.one
     if not np.any(~sr.is_zero(flat)):
-        return UnsatCertificate(chord.key,
+        return UnsatCertificate(H.chord.key,
                                 "selector has empty support: no interface "
                                 "state is fixed by the chord holonomy")
-    return SelectorFactor(chord.key, H.interface, n_modes,
+    return SelectorFactor(H.chord.key, H.interface, n_modes,
                           flat.reshape(iface_shape + (n_modes,)))
 
 
@@ -111,8 +109,7 @@ def augment(graph: FactorGraph,
     mode_vars: dict = {}
     selector_ids: dict = {}
     for cr in report.chords:
-        sel = build_selector(graph, cr.holonomy.chord, cr.holonomy,
-                             cr.quotient)
+        sel = build_selector(graph, cr.holonomy, cr.quotient)
         if isinstance(sel, UnsatCertificate):
             return sel
         mode_id = len(variables)
@@ -138,8 +135,8 @@ def augment(graph: FactorGraph,
 
     scopes = [f.scope for f in factors]
     bad = _check_running_intersection(scopes, edges)
-    return CompiledModel(augmented, len(graph.variables), len(graph.factors),
-                         mode_vars, selector_ids, tuple(edges),
+    return CompiledModel(augmented, len(graph.variables), mode_vars,
+                         selector_ids, tuple(edges),
                          tuple(report.backbone.roots), not bad, tuple(bad))
 
 
@@ -165,13 +162,10 @@ def cluster_tree_propagate(compiled: CompiledModel) -> ClusterTreeResult:
     sr = g.ops
     scopes = [f.scope for f in g.factors]
     edges = [(e.a, e.b, e.separator) for e in compiled.cluster_edges]
-    bel, roots = calibrate(sr, scopes, [g.factor_nd(f) for f in g.factors],
-                           edges, compiled.roots)
-    Z = sr.one
-    for r in roots:
-        Z = sr.mul(Z, sr.add_reduce(bel[r], None))
+    bel, Z = calibrate(sr, scopes, [g.factor_nd(f) for f in g.factors],
+                       edges, compiled.roots)
     return ClusterTreeResult(
-        tuple(PotentialSlice(s, b) for s, b in zip(scopes, bel)), float(Z),
+        tuple(PotentialSlice(s, b) for s, b in zip(scopes, bel)), Z,
         bool(sr.is_zero(Z)))
 
 
@@ -219,9 +213,9 @@ def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
 
     Phases: validate, nerve, backbone/cycles + holonomy, mode quotients
     and selectors, augmented-graph construction, separator passing over
-    the augmented nerve tree, mode marginalization.  Graphs whose
-    bipartite structure is already acyclic take an exact two-pass BP
-    fast path.
+    the augmented nerve tree, mode marginalization.  Every graph takes
+    this one path; a forest is the case with no chord, so ``augment``
+    adds no selector and the backbone is already a junction tree.
     """
     sr = graph.ops
     timings: dict[str, float] = {}
@@ -232,13 +226,6 @@ def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
     t0 = time.perf_counter()
     report = diagnose(graph, tol=tol, cap=cap)
     timings["diagnose"] = time.perf_counter() - t0
-
-    if not report.backbone.chords and bp_engine.is_bipartite_forest(graph):
-        t0 = time.perf_counter()
-        bel, Z, _degenerate = bp_engine._calibrate_forest(graph)
-        timings["tree_bp"] = time.perf_counter() - t0
-        status = "unsat" if sr.is_zero(Z) else "ok"
-        return HatccResult(status, Z, tuple(bel), report, timings, True)
 
     t0 = time.perf_counter()
     compiled = augment(graph, report)

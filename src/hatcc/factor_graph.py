@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -175,9 +175,6 @@ class FactorGraph:
 
     def factor_nd(self, f: FactorDecl) -> np.ndarray:
         return f.table.reshape(self.scope_shape(f.scope))
-
-    def factor_slice(self, f: FactorDecl) -> PotentialSlice:
-        return PotentialSlice(f.scope, self.factor_nd(f))
 
     @cached_property
     def _var_factors(self) -> dict[int, list[int]]:

@@ -1,15 +1,17 @@
 """Transport kernels, cycle holonomy matrices, and mode quotients.
 
 A transport kernel is the Boolean support relation a factor induces
-between two interface state spaces; composing kernels around a
-fundamental cycle gives the chord's holonomy matrix.  Its strongly
-connected components are the modes, read off the relation's
-reflexive-transitive closure.
+between two interface state spaces; ``loop_transport`` composes kernels
+around a closed loop of factors.  A chord's fundamental cycle gives its
+holonomy matrix, and ``sectors`` walks its base generators the same
+way.  A holonomy matrix's strongly connected components are the modes,
+read off the relation's reflexive-transitive closure.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -48,13 +50,6 @@ class ModeQuotient:
     fixed_point_mask: np.ndarray  # bool, H(x, x) = 1
 
 
-def interface_size(graph: FactorGraph, scope: Sequence[int]) -> int:
-    size = 1
-    for v in scope:
-        size *= graph.cardinality(v)
-    return size
-
-
 def transport_kernel(graph: FactorGraph, factor_id: int,
                      source: Sequence[int], target: Sequence[int],
                      tol: float = 0.0) -> TransportKernel:
@@ -73,13 +68,13 @@ def transport_kernel(graph: FactorGraph, factor_id: int,
     target = tuple(target)
     table = graph.factor_nd(f)
     supported = ~graph.ops.is_zero(table, tol)
-    kernel = np.zeros((interface_size(graph, source),
-                       interface_size(graph, target)), dtype=bool)
+    src_shape = graph.scope_shape(source)
+    tgt_shape = graph.scope_shape(target)
+    kernel = np.zeros((math.prod(src_shape), math.prod(tgt_shape)),
+                      dtype=bool)
     configs = np.argwhere(supported)
     if configs.size:
         axis_of = {v: i for i, v in enumerate(f.scope)}
-        src_shape = tuple(graph.cardinality(v) for v in source)
-        tgt_shape = tuple(graph.cardinality(v) for v in target)
         src_idx = np.ravel_multi_index(
             tuple(configs[:, axis_of[v]] for v in source), src_shape) \
             if source else np.zeros(len(configs), dtype=np.int64)
@@ -99,41 +94,48 @@ def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
+def loop_transport(graph: FactorGraph, factors: Sequence[int],
+                   interfaces: Sequence[tuple[int, ...]], tol: float,
+                   kernels: dict) -> np.ndarray:
+    """Compose transport kernels around a closed loop of factors.
+
+    ``factors[i]`` carries ``interfaces[i - 1]`` to ``interfaces[i]``, so
+    the loop starts and ends at ``interfaces[-1]``.  ``kernels`` memoizes
+    the kernel matrices built so far for this graph and ``tol``, keyed by
+    (factor, source, target), and is shared by every loop of one caller.
+    """
+    H = None
+    for fid, source, target in zip(factors, [interfaces[-1], *interfaces],
+                                   interfaces):
+        key = (fid, source, target)
+        if key not in kernels:
+            kernels[key] = transport_kernel(graph, fid, source, target,
+                                            tol).matrix
+        H = kernels[key] if H is None else compose(H, kernels[key])
+    return H
+
+
 def holonomy_matrix(graph: FactorGraph, cycle: FundamentalCycle,
                     tol: float = 0.0, cap: int = DEFAULT_INTERFACE_CAP, *,
                     _kernels: Optional[dict] = None) -> HolonomyMatrix:
     """Compose transport kernels around a fundamental cycle.
 
-    The composition starts and ends at the chord interface: the first
-    kernel carries chord-interface states into the path through the
-    chord's far endpoint, then each path factor carries them one
-    interface further, and the last kernel returns through the chord's
-    near endpoint.  ``_kernels`` is ``diagnose``'s memo of the kernels
-    built so far for this graph and ``tol``, keyed by (factor, source,
-    target).
+    The loop starts and ends at the chord interface: the first kernel
+    carries chord-interface states into the path through the chord's far
+    endpoint, then each path factor carries them one interface further,
+    and the last kernel returns through the chord's near endpoint.
+    ``_kernels`` is ``diagnose``'s memo for ``loop_transport``.
     """
-    factors = cycle.factor_sequence
     interfaces = cycle.interface_sequence
     for J in interfaces:
-        size = interface_size(graph, J)
+        size = math.prod(graph.scope_shape(J))
         if size > cap:
             raise InterfaceCapExceeded(
                 f"interface {J} has {size} states, exceeding the cap "
                 f"{cap}; refusing to build the holonomy matrix")
-    kernels = {} if _kernels is None else _kernels
-
-    def kernel(fid: int, source: tuple, target: tuple) -> np.ndarray:
-        key = (fid, source, target)
-        if key not in kernels:
-            kernels[key] = transport_kernel(graph, fid, source, target,
-                                            tol).matrix
-        return kernels[key]
-
-    chord_iface = interfaces[-1]
-    H = kernel(factors[0], chord_iface, interfaces[0])
-    for i in range(1, len(factors)):
-        H = compose(H, kernel(factors[i], interfaces[i - 1], interfaces[i]))
-    return HolonomyMatrix(cycle.chord, chord_iface, H)
+    H = loop_transport(graph, cycle.factor_sequence, interfaces, tol,
+                       {} if _kernels is None else _kernels)
+    return HolonomyMatrix(cycle.chord, interfaces[-1], H)
 
 
 def reachability_classes(relation: np.ndarray) -> tuple[

@@ -67,10 +67,6 @@ class Backbone:
     roots: tuple[int, ...]  # one per connected component
     parent: dict  # factor id -> parent factor id (roots map to None)
 
-    @property
-    def root(self) -> int:
-        return self.roots[0]
-
     @cached_property
     def tree_interfaces(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """Tree edge key -> interface."""

@@ -15,7 +15,10 @@ import numpy as np
 
 from . import bp_engine
 from .factor_graph import FactorDecl, FactorGraph, validate_strict
-from .holonomy import compose, reachability_classes, transport_kernel
+# compose and transport_kernel are no longer called here, but
+# perfbench/tracer.py wraps them under this module's name
+from .holonomy import (compose, loop_transport,  # noqa: F401
+                       reachability_classes, transport_kernel)
 from .trees import spanning_tree, tree_path
 
 
@@ -82,72 +85,48 @@ def variable_tree(graph: FactorGraph,
     return VariableTree(order[0][0], tuple(tree_factors), offtree, parent)
 
 
-def _edge_transport(graph: FactorGraph, fid: int, src: int, dst: int,
-                    tol: float) -> np.ndarray:
-    return transport_kernel(graph, fid, (src,), (dst,), tol).matrix
-
-
-def _path_transport(graph: FactorGraph, tree: VariableTree, src: int,
-                    dst: int, tol: float) -> np.ndarray:
-    """Compose edge transports along the tree path from src to dst.
-
-    The path runs through the endpoints' lowest common ancestor in the
-    BFS tree.
-    """
-    path = tree_path(lambda v: None if tree.parent[v] is None
-                     else tree.parent[v][0], src, dst)
-    M = np.eye(graph.cardinality(src), dtype=bool)
-    for a, b in zip(path, path[1:]):
-        # the connecting factor is recorded on the child side
-        if tree.parent[a] is not None and tree.parent[a][0] == b:
-            fid = tree.parent[a][1]
-        else:
-            fid = tree.parent[b][1]
-        M = compose(M, _edge_transport(graph, fid, a, b, tol))
-    return M
-
-
 def base_generators(graph: FactorGraph, base: Optional[int] = None,
                     tol: float = 0.0) -> tuple[VariableTree,
                                                list[np.ndarray]]:
     """One holonomy generator per off-tree edge, rebased at the base.
 
-    Generator = transport base->i along the tree, across the off-tree
-    factor i->j, then j->base along the tree.  The base defaults as in
-    ``variable_tree``.
+    Generator = ``loop_transport`` around the loop base->i along the tree,
+    across the off-tree factor i->j, then j->base along the tree; the
+    tree paths run through the lowest common ancestor.  Every loop shares
+    one kernel memo.  The base defaults as in ``variable_tree``.
     """
     validate_strict(graph)
     tree = variable_tree(graph, base)
+
+    def up(v: int) -> Optional[int]:
+        return None if tree.parent[v] is None else tree.parent[v][0]
+
+    def tree_factors(path: list) -> list[int]:
+        # the connecting factor is recorded on the child side
+        return [tree.parent[a][1] if up(a) == b else tree.parent[b][1]
+                for a, b in zip(path, path[1:])]
+
+    kernels: dict = {}
     gens = []
     for fid in tree.offtree_factors:
         i, j = graph.factors[fid].scope
-        M = _path_transport(graph, tree, tree.base, i, tol)
-        M = compose(M, _edge_transport(graph, fid, i, j, tol))
-        M = compose(M, _path_transport(graph, tree, j, tree.base, tol))
-        gens.append(M)
+        out, back = tree_path(up, tree.base, i), tree_path(up, j, tree.base)
+        gens.append(loop_transport(
+            graph, tree_factors(out) + [fid] + tree_factors(back),
+            [(v,) for v in out[1:] + back], tol, kernels))
     return tree, gens
 
 
-def orbit_partition(generators, fiber_size: int,
-                    strict_group: bool = False) -> tuple[tuple[int, ...], ...]:
-    """Mutual-reachability classes under the generated action.
-
-    Default (monoid) semantics: SCCs of the union digraph of all
-    generators.  ``strict_group`` requires every generator to be a
-    permutation and closes under inverses (symmetrizes).
-    """
+def orbit_partition(generators,
+                    fiber_size: int) -> tuple[tuple[int, ...], ...]:
+    """Mutual-reachability classes under the generated monoid action:
+    SCCs of the union digraph of all generators."""
     union = np.zeros((fiber_size, fiber_size), dtype=bool)
     for g in generators:
         g = np.asarray(g, dtype=bool)
         if g.shape != (fiber_size, fiber_size):
             raise ValueError("generator shape does not match the fiber")
-        if strict_group:
-            if not (np.all(g.sum(0) == 1) and np.all(g.sum(1) == 1)):
-                raise ValueError("strict group mode requires permutation "
-                                 "generators")
         union |= g
-    if strict_group:
-        union |= union.T
     return reachability_classes(union)[0]
 
 

@@ -3,9 +3,10 @@ calibration.
 
 ``calibrate`` is the one exact tree solver.  It runs two-pass separator
 message passing (Lauritzen & Spiegelhalter 1988, Shafer & Shenoy) over a
-cluster forest in any semiring.  Both the bipartite factor-graph tree path
-(``bp_engine.run_tree_exact``) and the augmented nerve
-(``compile.cluster_tree_propagate``) are cluster forests.
+cluster forest in any semiring.  Its callers build the forest: the
+augmented nerve of ``compile.cluster_tree_propagate``, which every
+``hatcc_infer`` run calibrates, and the bipartite factor graph of
+``bp_engine.run_tree_exact``.
 """
 from __future__ import annotations
 
@@ -124,8 +125,7 @@ def _message(sr: Semiring, table: np.ndarray, scope: Sequence[int],
 def calibrate(sr: Semiring, scopes: Sequence[Sequence[int]],
               tables: Sequence[np.ndarray],
               edges: Sequence[tuple[int, int, Sequence[int]]],
-              roots: Sequence[int] = ()) -> tuple[list[np.ndarray],
-                                                  list[int]]:
+              roots: Sequence[int] = ()) -> tuple[list[np.ndarray], float]:
     """Two-pass separator message passing over a cluster forest.
 
     Cluster i holds ``tables[i]``, one axis per variable of ``scopes[i]``.
@@ -135,7 +135,8 @@ def calibrate(sr: Semiring, scopes: Sequence[Sequence[int]],
 
     Each component is rooted at the first of ``roots`` it holds, else at
     its smallest cluster.  Returns the unnormalized cluster beliefs, in
-    scope axis order, and the root of each component.
+    scope axis order, and Z: the semiring product, over the components,
+    of each root belief's semiring total.
     """
     adj: list[list] = [[] for _ in scopes]
     for a, b, sep in edges:
@@ -171,4 +172,8 @@ def calibrate(sr: Semiring, scopes: Sequence[Sequence[int]],
                 send(node, nb, sep, acc if rest is None else sr.mul(acc, rest))
             acc = sr.mul(acc, msg)
         beliefs[node] = acc
-    return beliefs, [node for node, par, _sep in order if par is None]
+    Z = sr.one
+    for node, par, _sep in order:
+        if par is None:
+            Z = sr.mul(Z, sr.add_reduce(beliefs[node], None))
+    return beliefs, float(Z)

@@ -3,10 +3,12 @@ import pytest
 
 from hatcc.factor_graph import FactorDecl, FactorGraph, VariableDecl
 from hatcc.generators import gen_permutation_graph, gen_zk_sync
+from hatcc.holonomy import compose, transport_kernel
 from hatcc.metrics import mean_tv
 from hatcc.oracle import exact_marginals
 from hatcc.sectors import (base_generators, decompose, orbit_partition,
                            sector_infer, sector_report_json, variable_tree)
+from hatcc.trees import tree_path
 
 
 def chain(n=4, seed=0):
@@ -15,6 +17,31 @@ def chain(n=4, seed=0):
     factors = tuple(FactorDecl(i, (i, i + 1), r.uniform(0.1, 2, 4))
                     for i in range(n - 1))
     return FactorGraph("sum_product", variables, factors)
+
+
+def edge_walk_generators(graph, tree, tol):
+    """Reference generators, one edge kernel at a time: the tree path
+    base -> i, the off-tree factor i -> j, then the tree path j -> base."""
+    def up(v):
+        return None if tree.parent[v] is None else tree.parent[v][0]
+
+    def step(fid, a, b):
+        return transport_kernel(graph, fid, (a,), (b,), tol).matrix
+
+    def path(src, dst):
+        nodes = tree_path(up, src, dst)
+        M = np.eye(graph.cardinality(src), dtype=bool)
+        for a, b in zip(nodes, nodes[1:]):
+            fid = tree.parent[a][1] if up(a) == b else tree.parent[b][1]
+            M = compose(M, step(fid, a, b))
+        return M
+
+    gens = []
+    for fid in tree.offtree_factors:
+        i, j = graph.factors[fid].scope
+        gens.append(compose(compose(path(tree.base, i), step(fid, i, j)),
+                            path(j, tree.base)))
+    return gens
 
 
 class TestVariableTree:
@@ -79,6 +106,25 @@ class TestGenerators:
         np.testing.assert_array_equal(dec.generators[0], np.eye(2))
         assert dec.orbits == ((0,), (1,))
 
+    def test_loop_transport_matches_edge_walk(self):
+        instances = [("cycle", dict(n=7)), ("random", dict(n=8, p=0.4)),
+                     ("grid", dict(rows=3, cols=3))]
+        nontrivial = 0
+        for topology, kwargs in instances:
+            for k in (2, 3):
+                for tol in (0.0, 0.05):
+                    for seed in range(5):
+                        g = gen_zk_sync(topology, k, 0.01, 0.5, seed,
+                                        **kwargs).graph
+                        tree, gens = base_generators(g, tol=tol)
+                        want = edge_walk_generators(g, tree, tol)
+                        assert len(gens) == len(want)
+                        for got, ref in zip(gens, want):
+                            np.testing.assert_array_equal(got, ref)
+                            nontrivial += not np.array_equal(
+                                got, np.eye(k, dtype=bool))
+        assert nontrivial > 0
+
     def test_consistent_permutation_cycle_identity(self):
         inst = gen_permutation_graph("cycle", 3, 0.0, 5, consistent=True,
                                      n=6)
@@ -99,18 +145,6 @@ class TestOrbitPartition:
         shift = np.roll(np.eye(3, dtype=bool), 1, axis=1)
         assert orbit_partition([shift], 3) == ((0, 1, 2),)
 
-    def test_strict_group_rejects_non_permutation(self):
-        ones = np.ones((2, 2), dtype=bool)
-        with pytest.raises(ValueError, match="permutation"):
-            orbit_partition([ones], 2, strict_group=True)
-
-    def test_strict_group_symmetrizes_one_way_map(self):
-        # a permutation generator whose orbit is only mutual under
-        # closure by inverses
-        perm = np.zeros((3, 3), dtype=bool)
-        perm[0, 1] = perm[1, 0] = perm[2, 2] = True
-        assert orbit_partition([perm], 3, strict_group=True) == \
-            ((0, 1), (2,))
 
 
 class TestSectorInfer:
