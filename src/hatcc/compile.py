@@ -1,10 +1,13 @@
 """Holonomy-aware compilation to an exactly solvable tree model.
 
-Pipeline: detect chords of the factor nerve, compile each chord's
-holonomy into a mode variable plus a selector factor, check the
-augmented nerve is a tree, run two-pass separator message passing over
-it, and marginalize the mode variables back out.  An all-zero selector
-is an UNSAT certificate, returned as a result rather than raised.
+Pipeline: detect chords of the factor nerve, compile each chord whose
+holonomy is not the identity into a mode variable plus a selector
+factor, check the augmented nerve is a tree, run two-pass separator
+message passing over it, and marginalize the mode variables back out.
+A trivial chord gets nothing: its selector would copy the interface
+state into the mode and multiply every state by the semiring one.  An
+all-zero selector is an UNSAT certificate, returned as a result rather
+than raised.
 """
 from __future__ import annotations
 
@@ -97,18 +100,25 @@ def _check_running_intersection(scopes: Sequence[Sequence[int]],
 
 def augment(graph: FactorGraph,
             report: HolonomyReport) -> Union[CompiledModel, UnsatCertificate]:
-    """Append one mode variable and one selector factor per chord.
+    """Append one mode variable and one selector factor per non-trivial
+    chord.
 
-    The augmented nerve keeps the backbone tree edges and attaches each
-    selector as a leaf on the chord's smaller endpoint, so the edge
-    count stays vertices minus components.  Running intersection is
-    checked and flagged, not assumed.
+    A chord whose holonomy is the identity is skipped, so its mode
+    quotient is never taken.  The augmented nerve keeps the backbone
+    tree edges and attaches each selector as a leaf on the chord's
+    smaller endpoint, so the edge count stays vertices minus
+    components.  Running intersection is checked and flagged, not
+    assumed.
     """
     variables = list(graph.variables)
     factors = list(graph.factors)
     mode_vars: dict = {}
     selector_ids: dict = {}
+    edges = [ClusterEdge(e.f1, e.f2, e.interface)
+             for e in report.backbone.tree_edges]
     for cr in report.chords:
+        if cr.trivial:
+            continue
         sel = build_selector(graph, cr.holonomy, cr.quotient)
         if isinstance(sel, UnsatCertificate):
             return sel
@@ -120,15 +130,9 @@ def augment(graph: FactorGraph,
                                   sel.table.ravel()))
         mode_vars[sel.chord] = mode_id
         selector_ids[sel.chord] = fac_id
+        edges.append(ClusterEdge(min(sel.chord), fac_id, sel.interface))
     augmented = FactorGraph(graph.semiring, tuple(variables), tuple(factors))
 
-    edges = [ClusterEdge(e.f1, e.f2, e.interface)
-             for e in report.backbone.tree_edges]
-    for cr in report.chords:
-        chord = cr.holonomy.chord
-        attach = min(chord.f1, chord.f2)
-        edges.append(ClusterEdge(attach, selector_ids[chord.key],
-                                 cr.holonomy.interface))
     # tree identity: edges = vertices - components on the augmented nerve
     assert len(edges) == len(factors) - len(report.backbone.roots), \
         "augmented nerve violates the tree edge-count identity"
@@ -212,10 +216,11 @@ def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
     """Run the full compile-and-solve pipeline.
 
     Phases: validate, nerve, backbone/cycles + holonomy, mode quotients
-    and selectors, augmented-graph construction, separator passing over
-    the augmented nerve tree, mode marginalization.  Every graph takes
-    this one path; a forest is the case with no chord, so ``augment``
-    adds no selector and the backbone is already a junction tree.
+    and selectors for the non-trivial chords, augmented-graph
+    construction, separator passing over the augmented nerve tree, mode
+    marginalization.  Every graph takes this one path; a forest is the
+    case with no chord, so ``augment`` adds no selector and the backbone
+    is already a junction tree.
     """
     sr = graph.ops
     timings: dict[str, float] = {}

@@ -170,8 +170,14 @@ class FactorGraph:
     def cardinality(self, var_id: int) -> int:
         return self.variables[var_id].cardinality
 
+    @cached_property
+    def _cardinalities(self) -> tuple[int, ...]:
+        """Cardinality by variable position, built on first use."""
+        return tuple(v.cardinality for v in self.variables)
+
     def scope_shape(self, scope: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.cardinality(v) for v in scope)
+        cards = self._cardinalities
+        return tuple(cards[v] for v in scope)
 
     def factor_nd(self, f: FactorDecl) -> np.ndarray:
         return f.table.reshape(self.scope_shape(f.scope))

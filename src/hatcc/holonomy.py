@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -168,9 +169,10 @@ def mode_quotient(H: HolonomyMatrix) -> ModeQuotient:
 
 
 def is_trivial(H: HolonomyMatrix) -> bool:
-    """True iff the holonomy matrix is exactly the identity."""
-    n = H.matrix.shape[0]
-    return bool(np.array_equal(H.matrix, np.eye(n, dtype=bool)))
+    """True iff the holonomy matrix is exactly the identity: a true
+    diagonal and no other true entry."""
+    m = H.matrix
+    return bool(np.diagonal(m).all() and np.count_nonzero(m) == len(m))
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +181,17 @@ def is_trivial(H: HolonomyMatrix) -> bool:
 
 @dataclass(frozen=True)
 class ChordReport:
+    """A chord's cycle and holonomy.  The mode quotient is taken on first
+    use, so a trivial chord, which ``compile.augment`` skips, never pays
+    for the closure."""
     cycle: FundamentalCycle
     holonomy: HolonomyMatrix
-    quotient: ModeQuotient
 
-    @property
+    @cached_property
+    def quotient(self) -> ModeQuotient:
+        return mode_quotient(self.holonomy)
+
+    @cached_property
     def trivial(self) -> bool:
         return is_trivial(self.holonomy)
 
@@ -197,7 +205,7 @@ class HolonomyReport:
 
 def diagnose(graph: FactorGraph, tol: float = 0.0,
              cap: int = DEFAULT_INTERFACE_CAP) -> HolonomyReport:
-    """Nerve, backbone, and per-chord holonomy/mode analysis.
+    """Nerve, backbone, and per-chord holonomy; modes on demand.
 
     Each transport kernel is built once and shared by every chord whose
     cycle passes through it.
@@ -209,7 +217,7 @@ def diagnose(graph: FactorGraph, tol: float = 0.0,
     for chord in bb.chords:
         cycle = fundamental_cycle(graph, bb, chord)
         H = holonomy_matrix(graph, cycle, tol, cap, _kernels=kernels)
-        chords.append(ChordReport(cycle, H, mode_quotient(H)))
+        chords.append(ChordReport(cycle, H))
     return HolonomyReport(nerve, bb, tuple(chords))
 
 

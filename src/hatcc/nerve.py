@@ -80,40 +80,69 @@ class FundamentalCycle:
     interface_sequence: tuple[tuple[int, ...], ...]  # last = chord interface
 
 
+def _edge(graph: FactorGraph, i: int, j: int,
+          interface: tuple[int, ...]) -> NerveEdge:
+    return NerveEdge(i, j, interface,
+                     sum(math.log(graph.cardinality(v)) for v in interface))
+
+
 def build_factor_nerve(graph: FactorGraph) -> FactorNerve:
     """Union of per-variable maximum-weight spanning trees.
 
-    For each variable, Kruskal in the backbone's order ``(-weight, f1,
+    For each variable v, Kruskal in the backbone's order ``(-weight, f1,
     f2)`` joins the factors holding it.  An edge's interface is the full
     scope intersection of its two factors and its weight the sum of the
-    interface's log-cardinalities, computed once per overlapping pair.
-    Edges come sorted by key.  See the module docstring for why the
-    backbone equals the all-pairs nerve's.
+    interface's log-cardinalities.  Edges come sorted by key.  See the
+    module docstring for why the backbone equals the all-pairs nerve's.
+
+    Only holder pairs that share a second variable of cardinality > 1
+    weigh more than log |v|; every other pair of v's holders weighs
+    exactly that (a cardinality-1 variable adds log 1 = 0), so they tie
+    and Kruskal takes them in (f1, f2) order.  After the heavy pairs,
+    that order joins each remaining component to v's smallest holder
+    through its own smallest member: a star.  Pairs sharing two or more
+    variables are found by bucketing each factor under every pair of
+    its scope variables, so the cost is O(sum of k_v + such pairs), not
+    O(k_v^2) per variable.
     """
-    scopes = [set(f.scope) for f in graph.factors]
+    scopes = [f.scope for f in graph.factors]
     holders: dict[int, list[int]] = {}
-    for i, f in enumerate(graph.factors):
-        for v in f.scope:
+    by_var_pair: dict[tuple[int, int], list[int]] = {}
+    for i, scope in enumerate(scopes):
+        for v in scope:
             holders.setdefault(v, []).append(i)
-    pairs: dict[tuple[int, int], NerveEdge] = {}
-    chosen: dict[tuple[int, int], NerveEdge] = {}
-    for hs in holders.values():
-        clique = []
+        for uv in combinations(sorted(scope), 2):
+            by_var_pair.setdefault(uv, []).append(i)
+    # factor pairs sharing two or more variables, with their full edges
+    multi: dict[tuple[int, int], NerveEdge] = {}
+    for hs in by_var_pair.values():
         for i, j in combinations(hs, 2):
-            e = pairs.get((i, j))
-            if e is None:
-                interface = tuple(sorted(scopes[i] & scopes[j]))
-                w = sum(math.log(graph.cardinality(v)) for v in interface)
-                e = pairs[i, j] = NerveEdge(i, j, interface, w)
-            clique.append(e)
+            if (i, j) not in multi:
+                shared = set(scopes[i]).intersection(scopes[j])
+                multi[i, j] = _edge(graph, i, j, tuple(sorted(shared)))
+    heavy: dict[int, list[NerveEdge]] = {}
+    for e in multi.values():
+        wide = [u for u in e.interface if graph.cardinality(u) > 1]
+        for v in e.interface:
+            if any(u != v for u in wide):
+                heavy.setdefault(v, []).append(e)
+
+    chosen: dict[tuple[int, int], NerveEdge] = {}
+    for v, hs in holders.items():
         uf = UnionFind()
-        for e in sorted(clique, key=_kruskal_order):
+        for e in sorted(heavy.get(v, ()), key=_kruskal_order):
             if uf.union(e.f1, e.f2):
                 chosen[e.key] = e
-    overlaps = [0] * len(scopes)
-    for i, j in pairs:
-        overlaps[i] += 1
-        overlaps[j] += 1
+        hub = hs[0]
+        for j in hs[1:]:
+            if uf.union(hub, j):  # a tied pair: not heavy, so not yet joined
+                chosen[hub, j] = multi.get((hub, j)) \
+                    or _edge(graph, hub, j, (v,))
+    # sum of (k_v - 1) counts a pair once per shared variable
+    overlaps = [sum(len(holders[v]) - 1 for v in scope) for scope in scopes]
+    for (i, j), e in multi.items():
+        overlaps[i] -= len(e.interface) - 1
+        overlaps[j] -= len(e.interface) - 1
     return FactorNerve(tuple(range(len(scopes))),
                        tuple(chosen[k] for k in sorted(chosen)),
                        tuple(overlaps))

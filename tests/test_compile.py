@@ -56,7 +56,19 @@ class TestAugment:
         assert len(compiled.graph.factors) == len(g.factors)
 
     def test_even_cycle_counts(self):
+        # the copy ring's holonomy is the identity: no mode variable
         g = gen_four_cycle("even")
+        rep = diagnose(g)
+        assert [cr.trivial for cr in rep.chords] == [True]
+        compiled = augment(g, rep)
+        assert len(compiled.graph.variables) == 4
+        assert len(compiled.graph.factors) == 4
+        assert len(compiled.cluster_edges) == 3
+        # positive tables make it all ones: one mode variable and selector
+        r = np.random.default_rng(0)
+        g = FactorGraph("sum_product", g.variables,
+                        tuple(FactorDecl(f.id, f.scope, r.uniform(0.1, 1, 4))
+                              for f in g.factors))
         compiled = augment(g, diagnose(g))
         assert len(compiled.graph.variables) == 5
         assert len(compiled.graph.factors) == 5
@@ -64,16 +76,47 @@ class TestAugment:
         assert len(compiled.cluster_edges) == 4
 
     def test_one_mode_var_per_chord(self):
-        inst = gen_permutation_graph("grid", 2, 0.0, 0, consistent=True,
-                                     rows=2, cols=3)
-        rep = diagnose(inst.graph)
-        n_chords = len(rep.backbone.chords)
-        assert n_chords >= 2
-        compiled = augment(inst.graph, rep)
-        assert len(compiled.mode_vars) == n_chords
-        assert len(compiled.selector_ids) == n_chords
-        assert len(compiled.graph.variables) == \
-            len(inst.graph.variables) + n_chords
+        # (graph, chords, non-trivial chords): consistent hard permutations,
+        # corrupted Z_k sync, and inconsistent hard permutations (a mix)
+        cases = [
+            (gen_permutation_graph("grid", 2, 0.0, 0, consistent=True,
+                                   rows=2, cols=3).graph, 2, 0),
+            (gen_zk_sync("random", 2, 0.1, 0.5, 0, n=7, p=0.4).graph, 6, 6),
+            (gen_permutation_graph("random", 3, 0.0, 4, consistent=False,
+                                   n=7, p=0.5).graph, 2, 1),
+        ]
+        for g, n_chords, n_modes in cases:
+            rep = diagnose(g)
+            assert len(rep.backbone.chords) == n_chords
+            nontrivial = {cr.holonomy.chord.key for cr in rep.chords
+                          if not cr.trivial}
+            assert len(nontrivial) == n_modes
+            compiled = augment(g, rep)
+            assert set(compiled.mode_vars) == nontrivial
+            assert set(compiled.selector_ids) == nontrivial
+            assert len(compiled.graph.variables) == \
+                len(g.variables) + n_modes
+            assert len(compiled.graph.factors) == len(g.factors) + n_modes
+
+    def test_mode_quotient_once_per_nontrivial_chord(self, monkeypatch):
+        calls = []
+        real = holonomy.mode_quotient
+
+        def counted(H):
+            calls.append(H.chord.key)
+            return real(H)
+        monkeypatch.setattr(holonomy, "mode_quotient", counted)
+        for g in (gen_permutation_graph("random", 3, 0.0, 4,
+                                        consistent=False, n=7, p=0.5).graph,
+                  gen_permutation_graph("random", 3, 0.0, 0, consistent=True,
+                                        n=20, p=0.3).graph,
+                  gen_zk_sync("random", 2, 0.1, 0.5, 1, n=7, p=0.4).graph):
+            calls.clear()
+            res = hatcc_infer(g)
+            assert res.status == "ok"
+            nontrivial = [cr.holonomy.chord.key for cr in res.report.chords
+                          if not cr.trivial]
+            assert calls == nontrivial
 
     def test_odd_cycle_unsat_propagates(self):
         g = gen_four_cycle("odd")

@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (all_pairs_nerve, random_graph, random_nerve_tree,
                       random_pairwise_tree)
+from hatcc import nerve as nerve_module
 from hatcc.compile import UnsatCertificate, augment
 from hatcc.factor_graph import FactorDecl, FactorGraph, VariableDecl
 from hatcc.generators import (gen_four_cycle, gen_grid_mrf,
                               gen_permutation_graph, gen_zk_sync)
 from hatcc.holonomy import diagnose
-from hatcc.nerve import (backbone, build_factor_nerve, fundamental_cycle,
-                         to_dot)
+from hatcc.nerve import (FactorNerve, backbone, build_factor_nerve,
+                         fundamental_cycle, to_dot)
 from hatcc.trees import UnionFind
 
 
@@ -257,6 +259,74 @@ class TestSparseNerve:
             assert no_chords == compiled.running_intersection_ok
             seen.add(no_chords)
         assert seen == {True, False}
+
+
+def reference_nerve(graph):
+    """Kruskal by (-weight, f1, f2) over all pairs of each variable's
+    holders, taken from the all-pairs nerve."""
+    full = all_pairs_nerve(graph)
+    chosen = {}
+    for v in range(len(graph.variables)):
+        uf = UnionFind()
+        for e in sorted((e for e in full.edges if v in e.interface),
+                        key=lambda e: (-e.weight, e.f1, e.f2)):
+            if uf.union(e.f1, e.f2):
+                chosen[e.key] = e
+    return FactorNerve(full.vertices,
+                       tuple(chosen[k] for k in sorted(chosen)),
+                       full.overlaps)
+
+
+def graph_of(cards, scopes):
+    return FactorGraph(
+        "sum_product", tuple(VariableDecl(i, c) for i, c in enumerate(cards)),
+        tuple(FactorDecl(j, s, np.ones(math.prod(cards[v] for v in s)))
+              for j, s in enumerate(scopes)))
+
+
+@st.composite
+def cards_and_scopes(draw):
+    cards = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    scope = st.lists(st.integers(0, len(cards) - 1), unique=True,
+                     max_size=min(4, len(cards)))
+    return cards, draw(st.lists(scope, max_size=10))
+
+
+class TestNerveReference:
+    @given(cards_and_scopes())
+    @settings(max_examples=300, deadline=None)
+    # factors sharing two variables, one beside a unary on the same pair
+    @example(([2, 3, 2], [[0, 1], [0, 1, 2], [1], [1, 2], [0, 1]]))
+    # a cardinality-1 variable: pairs sharing it tie with unary pairs
+    @example(([2, 1, 2], [[0, 1], [0], [0, 1], [1, 2], [1], [0, 2]]))
+    # empty scopes and two components
+    @example(([2, 2, 3, 3], [[], [0, 1], [1], [], [2, 3], [3, 2], [3]]))
+    def test_matches_all_pairs_kruskal(self, drawn):
+        g = graph_of(*drawn)
+        got, want = build_factor_nerve(g), reference_nerve(g)
+        assert got == want
+        assert backbone(got) == backbone(want)
+
+    def test_unary_ladder_builds_a_star_in_linear_time(self, monkeypatch):
+        built = []
+        real = nerve_module.NerveEdge
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+        monkeypatch.setattr(nerve_module, "NerveEdge", counted)
+        counts = []
+        ladder = (100, 200, 400, 800)
+        for d in ladder:
+            g = graph_of([2], [[0]] * d)
+            built.clear()
+            nerve = build_factor_nerve(g)
+            assert len(nerve.edges) == d - 1
+            assert {e.f1 for e in nerve.edges} == {0}
+            assert nerve.overlaps == (d - 1,) * d
+            counts.append(len(built))
+        # one edge built per kept edge; all pairs would be d(d - 1)/2
+        assert counts == [d - 1 for d in ladder]
 
 
 def test_dot_export_styles():
