@@ -329,8 +329,6 @@ def run(graph: FactorGraph, max_iters: int = 200,
         if residual < residual_threshold:
             converged = True
             break
-    if max_iters == 0:
-        iters = 0
     oscillating = (not converged) and _detect_oscillation(
         trace, residual_threshold)
     bel, degen = lay.beliefs(sr, m)

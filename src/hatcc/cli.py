@@ -9,8 +9,7 @@ import argparse
 import csv
 import json
 import sys
-
-import numpy as np
+from itertools import product
 
 from . import bp_engine, factor_graph, generators, holonomy, metrics
 from . import oracle as oracle_mod
@@ -75,46 +74,56 @@ def cmd_gen(args) -> int:
 # infer
 # ---------------------------------------------------------------------------
 
-def _infer_payload(graph, args) -> dict:
-    if args.method == "bp":
+def _marginal_lists(marginals) -> list[list[float]]:
+    return [[float(x) for x in m] for m in marginals]
+
+
+def _infer_payload(graph, method: str, args, seed=None, dec=None) -> dict:
+    """JSON payload of one solver run: the CLI's only call into a solver.
+
+    ``args`` carries the inference options (``--max-iters``,
+    ``--threshold``, ``--damping``, ``--init``, ``--tol``,
+    ``--sector-mode``), ``seed`` seeds BP's random start, and ``dec`` is
+    a sector decomposition of ``graph`` to reuse (None: compute one).
+    """
+    if method == "bp":
         res = bp_engine.run(graph, max_iters=args.max_iters,
                             residual_threshold=args.threshold,
                             damping=args.damping, init=args.init,
-                            seed=args.seed)
+                            seed=seed)
         return {
             "status": "ok",
             "converged": res.converged,
             "oscillating": res.oscillating,
             "iterations": res.iterations,
-            "marginals": [[float(x) for x in b] for b in res.beliefs],
+            "marginals": _marginal_lists(res.beliefs),
             "degenerate": list(res.degenerate),
         }
-    if args.method == "hatcc":
-        res = hatcc_infer(graph, tol=args.tol)
-        return result_to_json_dict(res)
-    if args.method == "sectors":
-        res = sectors_mod.sector_infer(graph, mode=args.sector_mode,
+    if method == "hatcc":
+        return result_to_json_dict(hatcc_infer(graph, tol=args.tol))
+    if method == "sectors":
+        res = sectors_mod.sector_infer(graph, decomposition=dec,
+                                       mode=args.sector_mode,
                                        tol=args.tol,
                                        max_iters=args.max_iters,
                                        residual_threshold=args.threshold)
         payload = sectors_mod.sector_report_json(res)
         payload["status"] = "unsat" if res.unsat else "ok"
-        payload["marginals"] = [[float(x) for x in m]
-                                for m in res.marginals]
+        payload["marginals"] = _marginal_lists(res.marginals)
         return payload
-    if args.method == "oracle":
+    if method == "oracle":
         res = oracle_mod.exact_marginals(graph)
         return {
             "status": "unsat" if res.unsat else "ok",
             "Z": res.Z,
-            "marginals": [[float(x) for x in m] for m in res.marginals],
+            "marginals": _marginal_lists(res.marginals),
         }
-    raise AssertionError(args.method)
+    raise ValueError(f"unknown method '{method}'")
 
 
 def cmd_infer(args) -> int:
     graph = factor_graph.load(args.instance)
-    _dump(_infer_payload(graph, args))
+    _dump(_infer_payload(graph, args.method, args, args.seed))
     return 0
 
 
@@ -139,55 +148,43 @@ def cmd_diagnose(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_one(task) -> dict:
-    eps, seed, method, args = task
-    inst = generators.gen_zk_sync(args.topology, args.k, args.eta, eps,
-                                  seed, n=args.n, rows=args.rows,
-                                  cols=args.cols, p=args.p)
-    graph = inst.graph
-    row = {"family": "zk", "topology": args.topology, "k": args.k,
-           "eta": args.eta, "eps": eps, "seed": seed, "method": method}
-    dec = sectors_mod.decompose(graph, tol=args.tol)
-    row["n_generators"] = len(dec.generators)
-    row["n_nontrivial_generators"] = sum(
-        1 for g in dec.generators
-        if not np.array_equal(g, np.eye(g.shape[0], dtype=bool)))
-    row["n_orbits"] = len(dec.orbits)
-    truth = None
-    if args.with_oracle:
-        truth = oracle_mod.exact_marginals(graph)
-    if method == "bp":
-        res = bp_engine.run(graph, max_iters=args.max_iters,
-                            residual_threshold=args.threshold,
-                            init=args.init, seed=seed)
-        row["converged"] = int(res.converged)
-        row["oscillating"] = int(res.oscillating)
-        row["iterations"] = res.iterations
-        beliefs = res.beliefs
-    elif method == "sectors":
-        res = sectors_mod.sector_infer(graph, decomposition=dec,
-                                       mode=args.sector_mode, tol=args.tol)
-        row["converged"] = int(all(res.converged))
-        row["oscillating"] = 0
-        row["iterations"] = 0
-        beliefs = res.marginals
-    else:
-        raise ValueError(f"unknown sweep method '{method}'")
-    if truth is not None:
-        row["mean_tv"] = metrics.mean_tv(beliefs, truth.marginals)
-        row["mean_log_score"] = metrics.mean_log_score(
-            beliefs, inst.x_star)
-    return row
-
-
 def cmd_sweep(args) -> int:
-    eps_values = [float(x) for x in args.eps.split(",")]
+    """One CSV row per (eps, seed, method).  Each instance is generated,
+    decomposed and (with ``--with-oracle``) solved exactly once, and
+    every method reuses it; BP's random start is seeded by the seed."""
     methods = args.methods.split(",")
-    tasks = [(eps, seed, method, args)
-             for eps in eps_values
-             for seed in range(args.seeds)
-             for method in methods]
-    rows = [_sweep_one(t) for t in tasks]
+    for method in methods:
+        if method not in ("bp", "sectors"):
+            raise ValueError(f"unknown sweep method '{method}'")
+    rows = []
+    for eps, seed in product([float(x) for x in args.eps.split(",")],
+                             range(args.seeds)):
+        inst = generators.gen_zk_sync(args.topology, args.k, args.eta, eps,
+                                      seed, n=args.n, rows=args.rows,
+                                      cols=args.cols, p=args.p)
+        dec = sectors_mod.decompose(inst.graph, tol=args.tol)
+        common = {"family": "zk", "topology": args.topology, "k": args.k,
+                  "eta": args.eta, "eps": eps, "seed": seed,
+                  "n_generators": len(dec.generators),
+                  "n_nontrivial_generators": dec.n_nontrivial,
+                  "n_orbits": len(dec.orbits)}
+        truth = _infer_payload(inst.graph, "oracle", args) \
+            if args.with_oracle else None
+        for method in methods:
+            res = _infer_payload(inst.graph, method, args, seed, dec)
+            if method == "bp":
+                conv, osc, iters = (res["converged"], res["oscillating"],
+                                    res["iterations"])
+            else:  # per-orbit flags; the exact tree runs do not iterate
+                conv, osc, iters = all(res["converged"]), False, 0
+            row = dict(common, method=method, converged=int(conv),
+                       oscillating=int(osc), iterations=iters)
+            if truth is not None:
+                row["mean_tv"] = metrics.mean_tv(res["marginals"],
+                                                 truth["marginals"])
+                row["mean_log_score"] = metrics.mean_log_score(
+                    res["marginals"], inst.x_star)
+            rows.append(row)
     rows.sort(key=lambda r: (r["eps"], r["seed"], r["method"]))
     fields = sorted(set().union(*[set(r) for r in rows]))
     out = open(args.out, "w", newline="") if args.out else sys.stdout
@@ -208,21 +205,11 @@ def cmd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     graph = factor_graph.load(args.instance)
     methods = args.methods.split(",")
-    results = {}
-    for method in methods:
-        ns = argparse.Namespace(**vars(args))
-        ns.method = method
-        results[method] = _infer_payload(graph, ns)
-    payload = {"methods": results, "pairwise_mean_tv": {}}
-    for i, a in enumerate(methods):
-        for b in methods[i + 1:]:
-            ma, mb = results[a].get("marginals"), results[b].get("marginals")
-            if ma is None or mb is None:
-                continue
-            tv = metrics.mean_tv([np.asarray(x) for x in ma],
-                                 [np.asarray(x) for x in mb])
-            payload["pairwise_mean_tv"][f"{a}|{b}"] = tv
-    _dump(payload)
+    results = {m: _infer_payload(graph, m, args, args.seed) for m in methods}
+    pairwise = {f"{a}|{b}": metrics.mean_tv(results[a]["marginals"],
+                                            results[b]["marginals"])
+                for i, a in enumerate(methods) for b in methods[i + 1:]}
+    _dump({"methods": results, "pairwise_mean_tv": pairwise})
     return 0
 
 
@@ -235,7 +222,6 @@ def _add_infer_options(p) -> None:
     p.add_argument("--threshold", type=float, default=1e-6)
     p.add_argument("--damping", type=float, default=0.0)
     p.add_argument("--init", choices=("ones", "random"), default="ones")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=0.0,
                    help="support tolerance for transport kernels")
     p.add_argument("--sector-mode", choices=("decomposition", "sector_bp"),
@@ -274,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("instance")
     i.add_argument("--method", choices=("bp", "hatcc", "sectors", "oracle"),
                    required=True)
+    i.add_argument("--seed", type=int, default=None)
     _add_infer_options(i)
     i.set_defaults(func=cmd_infer)
 
@@ -286,7 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print only the structural checksum")
     d.set_defaults(func=cmd_diagnose)
 
-    s = sub.add_parser("sweep", help="corruption sweep over zk instances")
+    # no abbreviations: each instance's seed is its index, and a
+    # mistyped --seed must not be read as --seeds
+    s = sub.add_parser("sweep", help="corruption sweep over zk instances",
+                       allow_abbrev=False)
     s.add_argument("--topology", choices=("cycle", "grid", "random"),
                    default="cycle")
     s.add_argument("--n", type=int, default=8)
@@ -308,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compare", help="run several methods on one instance")
     c.add_argument("instance")
     c.add_argument("--methods", default="bp,hatcc,oracle")
+    c.add_argument("--seed", type=int, default=None)
     _add_infer_options(c)
     c.set_defaults(func=cmd_compare)
     return parser

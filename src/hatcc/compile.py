@@ -236,8 +236,8 @@ def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
     compiled = augment(graph, report)
     timings["augment"] = time.perf_counter() - t0
     if isinstance(compiled, UnsatCertificate):
-        card = [v.cardinality for v in graph.variables]
-        marg = tuple(np.full(c, 1.0 / c) for c in card)
+        marg = tuple(sr.normalize(np.full(v.cardinality, sr.one))
+                     for v in graph.variables)
         return HatccResult("unsat", sr.zero, marg, report, timings, True,
                            unsat_chord=compiled.chord)
 

@@ -168,11 +168,15 @@ def mode_quotient(H: HolonomyMatrix) -> ModeQuotient:
     return ModeQuotient(modes, quotient, np.diagonal(H.matrix).copy())
 
 
-def is_trivial(H: HolonomyMatrix) -> bool:
-    """True iff the holonomy matrix is exactly the identity: a true
+def is_identity(m: np.ndarray) -> bool:
+    """True iff the square Boolean matrix is exactly the identity: a true
     diagonal and no other true entry."""
-    m = H.matrix
     return bool(np.diagonal(m).all() and np.count_nonzero(m) == len(m))
+
+
+def is_trivial(H: HolonomyMatrix) -> bool:
+    """True iff the holonomy matrix is exactly the identity."""
+    return is_identity(H.matrix)
 
 
 # ---------------------------------------------------------------------------

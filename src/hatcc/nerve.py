@@ -171,18 +171,13 @@ def backbone(nerve: FactorNerve) -> Backbone:
     for e in tree:
         adj[e.f1].append((e.f2, None))
         adj[e.f2].append((e.f1, None))
-    seen: set[int] = set()
-    roots: list[int] = []
-    parent: dict[int, Optional[int]] = {}
+    # Kruskal's sets are the components, in order of their least vertex
+    comps: dict = {}
     for v in nerve.vertices:
-        if v in seen:
-            continue
-        # collect the component first so the root choice sees all of it
-        comp = [node for node, _par, _ in bfs(adj, [v])]
-        seen.update(comp)
-        root = max(comp, key=lambda u: (nerve.overlaps[u], -u))
-        roots.append(root)
-        parent.update((node, par) for node, par, _ in bfs(adj, [root]))
+        comps.setdefault(uf.find(v), []).append(v)
+    roots = [max(comp, key=lambda u: (nerve.overlaps[u], -u))
+             for comp in comps.values()]
+    parent = {node: par for node, par, _ in bfs(adj, roots)}
     return Backbone(tuple(tree), tuple(chords), tuple(roots), parent)
 
 

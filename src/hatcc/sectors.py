@@ -17,7 +17,7 @@ from . import bp_engine
 from .factor_graph import FactorDecl, FactorGraph, validate_strict
 # compose and transport_kernel are no longer called here, but
 # perfbench/tracer.py wraps them under this module's name
-from .holonomy import (compose, loop_transport,  # noqa: F401
+from .holonomy import (compose, is_identity, loop_transport,  # noqa: F401
                        reachability_classes, transport_kernel)
 from .trees import spanning_tree, tree_path
 
@@ -36,6 +36,11 @@ class SectorDecomposition:
     tree: VariableTree
     generators: tuple[np.ndarray, ...]  # bool matrices on the base fiber
     orbits: tuple[tuple[int, ...], ...]
+
+    @property
+    def n_nontrivial(self) -> int:
+        """How many generators are not the identity."""
+        return sum(not is_identity(g) for g in self.generators)
 
 
 @dataclass(frozen=True)
@@ -160,11 +165,14 @@ def sector_infer(graph: FactorGraph,
                  residual_threshold: float = 1e-6) -> SectorResult:
     """Per-orbit clamped inference and evidence-weighted recombination.
 
-    'decomposition' mode drops the off-tree factors and solves the
-    spanning tree exactly.  'sector_bp' mode keeps them: exact two-pass
-    BP when the clamped model is acyclic, loopy BP otherwise.  Evidence
-    Z comes from the exact tree model unless the sector-BP model is
-    itself acyclic.
+    Each orbit takes one path.  An exact solve of the clamped spanning
+    tree model (unary factors, tree factors and the clamp) gives the
+    orbit's evidence Z and, in 'decomposition' mode, its marginals.
+    'sector_bp' mode keeps the off-tree factors: when there are any,
+    loopy BP on the full clamped model (``max_iters``,
+    ``residual_threshold``) gives the marginals and the converged flag;
+    when there are none, the full model is the tree model and the exact
+    solve gives everything.
     """
     if graph.semiring != "sum_product":
         raise ValueError("sector_infer requires the sum_product semiring")
@@ -175,32 +183,24 @@ def sector_infer(graph: FactorGraph,
     dec = decomposition
     unary, _pairwise = _pairwise_structure(graph)
     tree_keep = sorted(set(unary) | set(dec.tree.tree_factors))
-    full_keep = list(range(len(graph.factors)))
+    loopy = mode == "sector_bp" and bool(dec.tree.offtree_factors)
 
     evidences: list[float] = []
     all_marg: list[tuple[np.ndarray, ...]] = []
     converged: list[bool] = []
     for orbit in dec.orbits:
-        tree_model = _clamped_graph(graph, tree_keep, dec.base, orbit)
-        if mode == "decomposition":
-            bel, Z, _deg = bp_engine.run_tree_exact(tree_model)
-            evidences.append(Z)
-            all_marg.append(tuple(bel))
-            converged.append(True)
-            continue
-        full_model = _clamped_graph(graph, full_keep, dec.base, orbit)
-        if bp_engine.is_bipartite_forest(full_model):
-            bel, Z, _deg = bp_engine.run_tree_exact(full_model)
-            evidences.append(Z)
-            all_marg.append(tuple(bel))
-            converged.append(True)
-        else:
-            res = bp_engine.run(full_model, max_iters=max_iters,
-                                residual_threshold=residual_threshold)
-            _bel, Z, _deg = bp_engine.run_tree_exact(tree_model)
-            evidences.append(Z)
-            all_marg.append(res.beliefs)
-            converged.append(res.converged)
+        bel, Z, _deg = bp_engine.run_tree_exact(
+            _clamped_graph(graph, tree_keep, dec.base, orbit))
+        ok = True
+        if loopy:
+            res = bp_engine.run(
+                _clamped_graph(graph, range(len(graph.factors)), dec.base,
+                               orbit),
+                max_iters=max_iters, residual_threshold=residual_threshold)
+            bel, ok = res.beliefs, res.converged
+        evidences.append(Z)
+        all_marg.append(tuple(bel))
+        converged.append(ok)
 
     total = float(sum(evidences))
     n_orbits = len(dec.orbits)
@@ -226,11 +226,10 @@ def sector_report_json(result: SectorResult) -> dict:
     return {
         "base": result.decomposition.base,
         "n_generators": len(result.decomposition.generators),
-        "n_nontrivial_generators": sum(
-            1 for g in result.decomposition.generators
-            if not np.array_equal(g, np.eye(g.shape[0], dtype=bool))),
+        "n_nontrivial_generators": result.decomposition.n_nontrivial,
         "orbit_sizes": [len(o) for o in result.decomposition.orbits],
         "evidences": list(result.evidences),
         "weights": list(result.weights),
+        "converged": list(result.converged),
         "unsat": result.unsat,
     }

@@ -1,8 +1,8 @@
+"""Graph builders and brute-force references shared by the test modules."""
 import itertools
 import math
 
 import numpy as np
-import pytest
 
 from hatcc.factor_graph import (FactorDecl, FactorGraph, VariableDecl,
                                 joint_weight)

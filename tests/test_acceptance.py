@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from conftest import random_graph, random_nerve_tree
+from helpers import random_graph, random_nerve_tree
 from hatcc import bp_engine as bp
 from hatcc.compile import augment, check_descent_datum, hatcc_infer
 from hatcc.factor_graph import (SEMIRINGS, FactorDecl, FactorGraph,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_graph, random_pairwise_tree
+from helpers import random_graph, random_pairwise_tree
 from hatcc import bp_engine as bp
 from hatcc.bp_engine import Direction, HalfEdge
 from hatcc.factor_graph import (SEMIRINGS, FactorDecl, FactorGraph,

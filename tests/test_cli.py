@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from hatcc import generators, metrics, oracle, sectors
 from hatcc.cli import main
 
 
@@ -82,6 +83,16 @@ class TestInfer:
         assert code == 1
         assert "error:" in err
 
+    def test_sectors_smoke(self, even_cycle, capsys):
+        code, out, _ = run(capsys, "infer", even_cycle, "--method", "sectors")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["status"] == "ok"
+        assert payload["orbit_sizes"] == [1, 1]
+        assert len(payload["converged"]) == 2
+        assert [sum(m) for m in payload["marginals"]] == pytest.approx(
+            [1.0] * 4)
+
     def test_output_byte_stable(self, even_cycle, capsys):
         _c, out1, _ = run(capsys, "infer", even_cycle, "--method", "hatcc")
         _c, out2, _ = run(capsys, "infer", even_cycle, "--method", "hatcc")
@@ -125,6 +136,77 @@ class TestSweep:
         keys = [(float(r["eps"]), int(r["seed"])) for r in rows]
         assert keys == sorted(keys)
 
+    # the instances the sweep tests run, seeds 0 and 1: uncorrupted Z2
+    # 5-cycles, whose trivial holonomy splits the base fiber into two
+    # orbits, so each clamped sector model is loopy and not uniform
+    ZK = ("--topology", "cycle", "--n", "5", "--eps", "0")
+
+    def sweep_rows(self, capsys, *flags):
+        code, out, _ = run(capsys, "sweep", *self.ZK, "--seeds", "2",
+                           "--tol", "0.05", "--with-oracle", *flags)
+        assert code == 0
+        return list(csv.DictReader(out.splitlines()))
+
+    def infer(self, tmp_path, capsys, seed, method, *flags):
+        path = str(tmp_path / f"zk{seed}.json")
+        run(capsys, "gen", "zk", *self.ZK, "--seed", str(seed), "-o", path)
+        code, out, _ = run(capsys, "infer", path, "--method", method,
+                           "--tol", "0.05", *flags)
+        assert code == 0
+        return json.loads(out)
+
+    def test_bp_rows_honour_inference_flags(self, tmp_path, capsys):
+        flags = ("--damping", "0.5", "--init", "random")
+        rows = self.sweep_rows(capsys, "--methods", "bp", *flags)
+        assert len(rows) == 2
+        for row in rows:
+            seed = int(row["seed"])
+            truth = self.infer(tmp_path, capsys, seed, "oracle")["marginals"]
+            damped = self.infer(tmp_path, capsys, seed, "bp", *flags,
+                                "--seed", str(seed))["marginals"]
+            plain = self.infer(tmp_path, capsys, seed, "bp", "--init",
+                               "random", "--seed", str(seed))["marginals"]
+            assert metrics.mean_tv(damped, plain) > 0.0
+            assert float(row["mean_tv"]) == metrics.mean_tv(damped, truth)
+
+    def test_sectors_rows_honour_max_iters(self, tmp_path, capsys):
+        default = self.sweep_rows(capsys, "--methods", "sectors")
+        capped = self.sweep_rows(capsys, "--methods", "sectors",
+                                 "--max-iters", "1")
+        assert [r["converged"] for r in default] == ["1", "1"]
+        for row in capped:
+            seed = int(row["seed"])
+            truth = self.infer(tmp_path, capsys, seed, "oracle")["marginals"]
+            res = self.infer(tmp_path, capsys, seed, "sectors",
+                             "--max-iters", "1")
+            assert row["converged"] == str(int(all(res["converged"]))) == "0"
+            assert float(row["mean_tv"]) == metrics.mean_tv(
+                res["marginals"], truth)
+
+    def test_seed_option_rejected(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["sweep", *self.ZK, "--seeds", "1", "--seed", "3"])
+        assert ei.value.code == 2
+
+    def test_each_instance_built_and_solved_once(self, capsys, monkeypatch):
+        calls = {"gen_zk_sync": 0, "decompose": 0, "exact_marginals": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(generators, "gen_zk_sync")
+        counted(sectors, "decompose")
+        counted(oracle, "exact_marginals")
+        rows = self.sweep_rows(capsys, "--methods", "bp,sectors")
+        assert len(rows) == 4
+        assert calls == {"gen_zk_sync": 2, "decompose": 2,
+                         "exact_marginals": 2}
+
 
 class TestCompare:
     def test_pairwise_tv_reported(self, even_cycle, capsys):
@@ -133,3 +215,19 @@ class TestCompare:
         assert code == 0
         payload = json.loads(out)
         assert payload["pairwise_mean_tv"]["hatcc|oracle"] < 1e-12
+
+    def test_bp_sectors_oracle_smoke(self, even_cycle, capsys):
+        code, out, _ = run(capsys, "compare", even_cycle,
+                           "--methods", "bp,sectors,oracle")
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload["methods"]) == {"bp", "sectors", "oracle"}
+        tv = payload["pairwise_mean_tv"]
+        assert set(tv) == {"bp|sectors", "bp|oracle", "sectors|oracle"}
+        assert tv["sectors|oracle"] < 1e-9
+
+    def test_unknown_method_exits_one(self, even_cycle, capsys):
+        code, _out, err = run(capsys, "compare", even_cycle,
+                              "--methods", "bp,mystery")
+        assert code == 1
+        assert "unknown method 'mystery'" in err

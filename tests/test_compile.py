@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import all_pairs_nerve, brute_force, random_nerve_tree
+from helpers import all_pairs_nerve, brute_force, random_nerve_tree
 from hatcc import bp_engine as bp
 from hatcc import factor_graph, holonomy
 from hatcc.compile import (CompiledModel, UnsatCertificate, augment,
@@ -280,6 +280,24 @@ class TestHatccInfer:
         res = hatcc_infer(gen_four_cycle("odd"))
         assert res.status == "unsat"
         assert res.unsat_chord is not None
+
+    @pytest.mark.parametrize("semiring", sorted(SEMIRINGS))
+    def test_unsat_marginals_are_normalized_ones(self, semiring):
+        # the placeholder is sr.normalize(ones), as for an untouched
+        # variable: 1/2 under sum-product, 1 under max-product and
+        # boolean, energy 0 under min-sum
+        sr = SEMIRINGS[semiring]
+        g = gen_four_cycle("odd")
+        g = FactorGraph(semiring, g.variables, tuple(
+            FactorDecl(f.id, f.scope, np.where(np.asarray(f.table) > 0,
+                                               sr.one, sr.zero))
+            for f in g.factors))
+        res = hatcc_infer(g)
+        assert res.status == "unsat"
+        assert res.Z == sr.zero
+        want = sr.normalize(np.full(2, sr.one))
+        for m in res.marginals:
+            np.testing.assert_array_equal(m, want)
 
     def test_even_cycle_matches_oracle(self):
         res = hatcc_infer(gen_four_cycle("even"))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (all_pairs_nerve, random_graph, random_nerve_tree,
-                      random_pairwise_tree)
+from helpers import (all_pairs_nerve, random_graph, random_nerve_tree,
+                     random_pairwise_tree)
 from hatcc import nerve as nerve_module
 from hatcc.compile import UnsatCertificate, augment
 from hatcc.factor_graph import FactorDecl, FactorGraph, VariableDecl

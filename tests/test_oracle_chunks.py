@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from helpers import random_graph
 from hatcc import oracle
 from hatcc.factor_graph import FactorDecl, FactorGraph, VariableDecl
 

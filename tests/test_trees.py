@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 
-from conftest import brute_force
+from helpers import brute_force
 from hatcc import bp_engine as bp
 from hatcc.compile import hatcc_infer
 from hatcc.factor_graph import SEMIRINGS, FactorDecl, FactorGraph, VariableDecl
