@@ -9,8 +9,8 @@ from .nerve import Backbone, FactorNerve, backbone, build_factor_nerve, \
     fundamental_cycle
 from .holonomy import (HolonomyMatrix, ModeQuotient, diagnose, holonomy_matrix,
                        is_trivial, mode_quotient, transport_kernel)
-from .compile import (CompiledModel, HatccResult, UnsatCertificate, augment,
-                      build_selector, check_descent_datum,
+from .compile import (CapExceeded, CompiledModel, HatccResult,
+                      UnsatCertificate, augment, check_descent_datum,
                       cluster_tree_propagate, hatcc_infer, marginalize_modes)
 from .sectors import (SectorDecomposition, SectorResult, base_generators,
                       decompose, orbit_partition, sector_infer)

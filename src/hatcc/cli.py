@@ -175,8 +175,10 @@ def cmd_sweep(args) -> int:
             if method == "bp":
                 conv, osc, iters = (res["converged"], res["oscillating"],
                                     res["iterations"])
-            else:  # per-orbit flags; the exact tree runs do not iterate
-                conv, osc, iters = all(res["converged"]), False, 0
+            else:  # per orbit; an exact tree run reports 0 and False
+                conv, osc, iters = (all(res["converged"]),
+                                    any(res["oscillating"]),
+                                    max(res["iterations"], default=0))
             row = dict(common, method=method, converged=int(conv),
                        oscillating=int(osc), iterations=iters)
             if truth is not None:

@@ -1,19 +1,29 @@
-"""Holonomy-aware compilation to an exactly solvable tree model.
+"""Holonomy-aware compilation to an exact junction tree.
 
-Pipeline: detect chords of the factor nerve, compile each chord whose
-holonomy is not the identity into a mode variable plus a selector
-factor, check the augmented nerve is a tree, run two-pass separator
-message passing over it, and marginalize the mode variables back out.
-A trivial chord gets nothing: its selector would copy the interface
-state into the mode and multiply every state by the semiring one.  An
-all-zero selector is an UNSAT certificate, returned as a result rather
-than raised.
+Pipeline: ``diagnose`` finds the chords of the factor nerve and their
+holonomies; ``augment`` cuts every chord whose holonomy is the identity
+and keeps the rest.  It splits each variable into one copy per connected
+component of its holders, joined by backbone tree edges and kept chords
+(the *split model*), and builds a min-fill elimination junction tree
+over the copies (Lauritzen & Spiegelhalter 1988; Koller & Friedman 2009,
+ch. 9-10).  ``cluster_tree_propagate`` calibrates it with
+``trees.calibrate``, and ``marginalize_modes`` reads each marginal from
+any copy of its variable.
+
+A cut is exact.  In any supported configuration of the split model the
+tree path carries the chord interface's state x2 at one endpoint to its
+state x1 at the other, so H(x2, x1) = 1, and H = I forces x1 = x2.  The
+holders of a variable are joined by nerve edges that hold it, so all its
+copies agree: the supported configurations of the split model are the
+original model's, with the same weights, in any semiring.  A kept chord
+whose composed holonomy fixes no interface state certifies UNSAT,
+returned as a result rather than raised.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -21,22 +31,14 @@ import numpy as np
 
 from .factor_graph import (FactorDecl, FactorGraph, PotentialSlice, Semiring,
                            VariableDecl, restrict, validate_strict)
-from .holonomy import (HolonomyMatrix, HolonomyReport, ModeQuotient,
-                       diagnose, report_to_json_dict)
-from .trees import calibrate
+from .holonomy import (DEFAULT_INTERFACE_CAP, HolonomyReport,
+                       InterfaceCapExceeded, diagnose, report_to_json_dict)
+from .trees import UnionFind, calibrate, expand
 
 
 # ---------------------------------------------------------------------------
-# Selectors and the augmented model
+# The split model and its junction tree
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SelectorFactor:
-    chord: tuple[int, int]
-    interface: tuple[int, ...]
-    n_modes: int
-    table: np.ndarray  # shape = interface shape + (n_modes,), semiring 0/1
-
 
 @dataclass(frozen=True)
 class UnsatCertificate:
@@ -45,107 +47,247 @@ class UnsatCertificate:
 
 
 @dataclass(frozen=True)
+class CapExceeded:
+    entries: int  # of the largest clique
+    detail: str
+
+
+@dataclass(frozen=True)
 class ClusterEdge:
     a: int  # cluster index
     b: int
-    separator: tuple[int, ...]  # sorted variable ids
+    separator: tuple[int, ...]  # copy ids
 
 
 @dataclass(frozen=True)
 class CompiledModel:
-    graph: FactorGraph  # augmented
-    original_var_count: int
-    mode_vars: dict  # chord key -> mode variable id
-    selector_ids: dict  # chord key -> selector factor id
+    source: FactorGraph  # the model compiled
+    graph: FactorGraph  # variable copies; one clique factor per cluster
+    var_copies: tuple[tuple[int, ...], ...]  # per original variable
+    home: tuple[int, ...]  # per copy: a cluster holding it
     cluster_edges: tuple[ClusterEdge, ...]
     roots: tuple[int, ...]  # cluster indices, one per component
-    running_intersection_ok: bool
-    ri_violations: tuple[int, ...]  # variable ids
+    cut: tuple[tuple[int, int], ...]  # keys of the chords cut
+    inexact_cuts: tuple[tuple[int, int], ...]  # cut, yet exact H is not I
 
 
-def build_selector(graph: FactorGraph, H: HolonomyMatrix,
-                   Q: ModeQuotient) -> Union[SelectorFactor, UnsatCertificate]:
-    """Indicator tying an interface state to its mode and feasibility.
+def split_scopes(graph: FactorGraph, report: HolonomyReport) -> tuple[
+        list[tuple[int, ...]], list[int]]:
+    """Factor scopes over the split model's variable copies.
 
-    sigma(x, m) = 1 iff the state's mode is m and the holonomy fixes x
-    (H(x, x) = 1).  A selector with no support certifies UNSAT.
+    The holders of a variable are joined by the backbone tree edges and
+    the non-trivial chords whose interface holds it; each component gets
+    one copy.  Walking the backbone parent-first, a factor takes its
+    parent's copy of each variable on their tree edge and a fresh copy
+    of the rest; then the kept chords merge copies.  Returns each
+    factor's scope in copy ids and each copy's original variable.
     """
-    sr = graph.ops
-    iface_shape = graph.scope_shape(H.interface)
-    n_states = math.prod(iface_shape)
-    n_modes = len(Q.modes)
-    flat = np.full((n_states, n_modes), sr.zero)
-    fixed = Q.fixed_point_mask
-    flat[fixed, Q.quotient[fixed]] = sr.one
-    if not np.any(~sr.is_zero(flat)):
-        return UnsatCertificate(H.chord.key,
-                                "selector has empty support: no interface "
-                                "state is fixed by the chord holonomy")
-    return SelectorFactor(H.chord.key, H.interface, n_modes,
-                          flat.reshape(iface_shape + (n_modes,)))
+    bb = report.backbone
+    label: list = [None] * len(graph.factors)  # per factor: var -> copy
+    copy_var: list[int] = []
+    for f, p in bb.parent.items():  # breadth-first order
+        shared = () if p is None else bb.tree_interfaces[min(f, p), max(f, p)]
+        own = {}
+        for v in graph.factors[f].scope:
+            if v in shared:
+                own[v] = label[p][v]
+            else:
+                own[v] = len(copy_var)
+                copy_var.append(v)
+        label[f] = own
+    kept = [cr.cycle.chord for cr in report.chords if not cr.trivial]
+    remap = range(len(copy_var))
+    if kept:
+        uf = UnionFind()
+        for e in kept:
+            for v in e.interface:
+                uf.union(label[e.f1][v], label[e.f2][v])
+        dense: dict = {}
+        remap = [dense.setdefault(uf.find(c), len(dense)) for c in remap]
+        # merged copies are copies of one variable
+        copy_var = list(dict(zip(remap, copy_var)).values())
+    return ([tuple(remap[own[v]] for v in f.scope)
+             for own, f in zip(label, graph.factors)], copy_var)
 
 
-def _check_running_intersection(scopes: Sequence[Sequence[int]],
-                                edges: Sequence[ClusterEdge]) -> list[int]:
-    """Variables whose clusters do not form a connected subtree.
+def min_fill_order(n: int, scopes: Sequence[Sequence[int]]) -> list[
+        tuple[int, tuple[int, ...]]]:
+    """Greedy min-fill elimination of the interaction graph on ``0..n-1``.
 
-    In a forest, the k clusters holding v are connected exactly when
-    k - 1 edges join two of them.
+    Each step eliminates the node whose neighbours lack the fewest edges
+    among themselves, ties to the smaller degree, then the smaller id,
+    and joins those neighbours.  Fill counts are updated only where an
+    elimination changes them; stale heap entries are skipped.  Returns
+    each node with its sorted neighbours when eliminated, in order.
     """
-    holders = Counter(v for scope in scopes for v in scope)
-    joins = Counter(v for e in edges
-                    for v in set(scopes[e.a]) & set(scopes[e.b]))
-    return sorted(v for v, k in holders.items() if joins[v] != k - 1)
-
-
-def augment(graph: FactorGraph,
-            report: HolonomyReport) -> Union[CompiledModel, UnsatCertificate]:
-    """Append one mode variable and one selector factor per non-trivial
-    chord.
-
-    A chord whose holonomy is the identity is skipped, so its mode
-    quotient is never taken.  The augmented nerve keeps the backbone
-    tree edges and attaches each selector as a leaf on the chord's
-    smaller endpoint, so the edge count stays vertices minus
-    components.  Running intersection is checked and flagged, not
-    assumed.
-    """
-    variables = list(graph.variables)
-    factors = list(graph.factors)
-    mode_vars: dict = {}
-    selector_ids: dict = {}
-    edges = [ClusterEdge(e.f1, e.f2, e.interface)
-             for e in report.backbone.tree_edges]
-    for cr in report.chords:
-        if cr.trivial:
+    adj: list = [set() for _ in range(n)]
+    for scope in scopes:
+        for v in scope:
+            adj[v].update(scope)
+    for v in range(n):
+        adj[v].discard(v)
+    fill = [len(nb) * (len(nb) - 1) // 2
+            - sum(len(adj[a] & nb) for a in nb) // 2 for nb in adj]
+    heap = [(fill[v], len(adj[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        f, d, v = heapq.heappop(heap)
+        nb = adj[v]
+        if nb is None or f != fill[v] or d != len(nb):
             continue
-        sel = build_selector(graph, cr.holonomy, cr.quotient)
-        if isinstance(sel, UnsatCertificate):
-            return sel
-        mode_id = len(variables)
-        variables.append(VariableDecl(mode_id, sel.n_modes,
-                                      f"mode_{sel.chord[0]}_{sel.chord[1]}"))
-        fac_id = len(factors)
-        factors.append(FactorDecl(fac_id, sel.interface + (mode_id,),
-                                  sel.table.ravel()))
-        mode_vars[sel.chord] = mode_id
-        selector_ids[sel.chord] = fac_id
-        edges.append(ClusterEdge(min(sel.chord), fac_id, sel.interface))
-    augmented = FactorGraph(graph.semiring, tuple(variables), tuple(factors))
+        adj[v] = None  # eliminated
+        touched = set(nb)
+        for u in nb:
+            adj[u].discard(v)
+            fill[u] -= len(adj[u] - nb)  # pairs (v, x), x not next to v
+        ordered = sorted(nb)
+        for i, a in enumerate(ordered):
+            for b in ordered[i + 1:]:
+                if b in adj[a]:
+                    continue
+                common = adj[a] & adj[b]
+                for c in common:
+                    fill[c] -= 1
+                touched |= common
+                fill[a] += len(adj[a] - adj[b])
+                fill[b] += len(adj[b] - adj[a])
+                adj[a].add(b)
+                adj[b].add(a)
+        for u in touched:
+            heapq.heappush(heap, (fill[u], len(adj[u]), u))
+        order.append((v, tuple(ordered)))
+    return order
 
-    # tree identity: edges = vertices - components on the augmented nerve
-    assert len(edges) == len(factors) - len(report.backbone.roots), \
-        "augmented nerve violates the tree edge-count identity"
 
-    scopes = [f.scope for f in factors]
-    bad = _check_running_intersection(scopes, edges)
-    return CompiledModel(augmented, len(graph.variables), mode_vars,
-                         selector_ids, tuple(edges),
-                         tuple(report.backbone.roots), not bad, tuple(bad))
+def elimination_tree(order: Sequence[tuple[int, tuple[int, ...]]],
+                     factor_scopes: Sequence[tuple[int, ...]]) -> tuple[
+        list[tuple[int, ...]], list[ClusterEdge], list[int], list[int],
+        list[int]]:
+    """Junction tree of an elimination order's cliques.
+
+    The clique of v is v with its neighbours at elimination.  It hangs
+    from the clique of the first of them eliminated, across those
+    neighbours; that parent clique holds them all, so a parent equal to
+    them is absorbed into the child rather than kept.  A factor joins
+    the cluster of its first eliminated variable, whose clique holds its
+    whole scope; a factor with an empty scope is a cluster of its own.
+    Returns cluster scopes, edges and roots, each node's cluster and
+    each factor's cluster.
+    """
+    pos = {v: i for i, (v, _nb) in enumerate(order)}
+    size = {v: len(nb) + 1 for v, nb in order}
+    cluster: dict = {}
+    scopes: list[tuple[int, ...]] = []
+    owner: list[int] = []  # the node whose clique is the cluster's scope
+    edges: list[ClusterEdge] = []
+    roots: list[int] = []
+    for v, nb in reversed(order):
+        p = min(nb, key=pos.__getitem__) if nb else None
+        c = cluster.get(p)
+        if c is not None and owner[c] == p and size[p] == len(nb):
+            scopes[c] = (v, *nb)
+            owner[c] = v
+        else:
+            if c is None:
+                roots.append(len(scopes))
+            else:
+                edges.append(ClusterEdge(c, len(scopes), nb))
+            c = len(scopes)
+            scopes.append((v, *nb))
+            owner.append(v)
+        cluster[v] = c
+    holder = []
+    for s in factor_scopes:
+        if s:
+            holder.append(cluster[min(s, key=pos.__getitem__)])
+        else:
+            roots.append(len(scopes))
+            holder.append(len(scopes))
+            scopes.append(())
+    return (scopes, edges, roots, [cluster[v] for v in range(len(order))],
+            holder)
+
+
+def _clique_tables(graph: FactorGraph, split: Sequence[tuple[int, ...]],
+                   holder: Sequence[int], scopes: Sequence[tuple[int, ...]],
+                   cards: Sequence[int]) -> list[np.ndarray]:
+    """Each cluster's table: the semiring product of the factors it
+    holds, broadcast over its scope (semiring ones if it holds none)."""
+    sr = graph.ops
+    acc: list = [None] * len(scopes)
+    for f, scope, c in zip(graph.factors, split, holder):
+        t = graph.factor_nd(f)
+        if scope != scopes[c]:
+            t = expand(t, scope, scopes[c])
+        acc[c] = t if acc[c] is None else sr.mul(acc[c], t)
+    out = []
+    for t, s in zip(acc, scopes):
+        shape = tuple(cards[v] for v in s)
+        if t is None:
+            t = np.full(shape, sr.one)
+        elif t.shape != shape:
+            t = np.broadcast_to(t, shape)
+        out.append(t)
+    return out
+
+
+def augment(graph: FactorGraph, report: HolonomyReport,
+            cap: int = DEFAULT_INTERFACE_CAP) -> Union[
+                CompiledModel, UnsatCertificate, CapExceeded]:
+    """Compile the split model into a min-fill junction tree.
+
+    Cuts each chord whose holonomy is the identity and keeps the rest.
+    Returns one clique factor per cluster and one tree per backbone
+    component, so the cluster edges number clusters minus components.  A
+    kept chord whose composed holonomy fixes no interface state gives an
+    ``UnsatCertificate``, and a clique of more than ``cap`` entries gives
+    ``CapExceeded`` before any table is built.  A report taken with
+    ``tol > 0`` may cut a chord whose exact holonomy is not the identity;
+    those cuts are listed in ``inexact_cuts``.
+    """
+    # a tolerance only drops support, so the exact holonomies decide
+    # whether a cut is exact and whether a missing fixed point is UNSAT
+    exact = diagnose(graph, cap=cap).chords if report.tol > 0 \
+        else report.chords
+    for cr, ex in zip(report.chords, exact):
+        if not (cr.trivial or cr.rank_one) \
+                and not np.diagonal(cr.holonomy.matrix).any() \
+                and not np.diagonal(ex.holonomy.matrix).any():
+            return UnsatCertificate(cr.cycle.chord.key,
+                                    "no interface state is fixed by the "
+                                    "chord holonomy")
+    cut = tuple(cr.cycle.chord.key for cr in report.chords if cr.trivial)
+    inexact = tuple(cr.cycle.chord.key for cr, ex in zip(report.chords, exact)
+                    if cr.trivial and not ex.trivial)
+
+    split, copy_var = split_scopes(graph, report)
+    scopes, edges, roots, home, holder = elimination_tree(
+        min_fill_order(len(copy_var), split), split)
+    cards = [graph.cardinality(v) for v in copy_var]
+    entries = max((math.prod(cards[v] for v in s) for s in scopes),
+                  default=1)
+    if entries > cap:
+        return CapExceeded(entries, f"a clique of {entries} entries "
+                           f"exceeds the cap {cap}")
+    tables = _clique_tables(graph, split, holder, scopes, cards)
+    model = FactorGraph(
+        graph.semiring, tuple(VariableDecl(i, c) for i, c in enumerate(cards)),
+        tuple(FactorDecl(i, s, t)
+              for i, (s, t) in enumerate(zip(scopes, tables))))
+    # tree identity: edges = clusters - components
+    assert len(edges) == len(scopes) - len(report.backbone.roots), \
+        "the junction forest has one tree per backbone component"
+    var_copies: list[list[int]] = [[] for _ in graph.variables]
+    for c, v in enumerate(copy_var):
+        var_copies[v].append(c)
+    return CompiledModel(graph, model, tuple(map(tuple, var_copies)),
+                         tuple(home), tuple(edges), tuple(roots), cut,
+                         inexact)
 
 
 # ---------------------------------------------------------------------------
-# Cluster-tree message passing
+# Calibration and marginals
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -156,11 +298,10 @@ class ClusterTreeResult:
 
 
 def cluster_tree_propagate(compiled: CompiledModel) -> ClusterTreeResult:
-    """Two-pass separator message passing over the augmented nerve tree.
+    """Calibrate the junction tree with ``trees.calibrate``.
 
-    The message from cluster a to neighbor b is the restriction to their
-    separator of a's potential times all other incoming messages.  Z is
-    read off the root beliefs, one factor per component.
+    Two-pass separator message passing over the cluster forest; Z is
+    read off the root beliefs, one per component.
     """
     g = compiled.graph
     sr = g.ops
@@ -175,22 +316,22 @@ def cluster_tree_propagate(compiled: CompiledModel) -> ClusterTreeResult:
 
 def marginalize_modes(compiled: CompiledModel,
                       result: ClusterTreeResult) -> list[np.ndarray]:
-    """Per-original-variable marginals from calibrated cluster beliefs."""
-    g = compiled.graph
-    sr = g.ops
+    """Per-original-variable marginals from calibrated cluster beliefs.
+
+    Each is read from the first copy of its variable, in a cluster that
+    holds it; calibration makes every copy agree.  A variable that no
+    factor holds gets the normalized semiring ones.
+    """
+    sr = compiled.graph.ops
     out = []
-    holder: dict[int, int] = {}
-    for ci, b in enumerate(result.beliefs):
-        for v in b.scope:
-            holder.setdefault(v, ci)
-    for v_id in range(compiled.original_var_count):
-        card = g.cardinality(v_id)
-        if v_id not in holder:
-            # variable untouched by any factor
-            out.append(sr.normalize(np.full(card, sr.one)))
-            continue
-        b = result.beliefs[holder[v_id]]
-        vec = restrict(b, (v_id,), sr).table
+    for v, copies in enumerate(compiled.var_copies):
+        if copies:
+            b = result.beliefs[compiled.home[copies[0]]]
+            axis = b.scope.index(copies[0])
+            vec = sr.add_reduce(b.table, tuple(
+                i for i in range(len(b.scope)) if i != axis))
+        else:
+            vec = np.full(compiled.source.cardinality(v), sr.one)
         out.append(sr.normalize(vec))
     return out
 
@@ -200,27 +341,48 @@ def marginalize_modes(compiled: CompiledModel,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class ChordRecord:
+    chord: tuple[int, int]
+    cut: bool  # holonomy the identity, so the split model cuts it
+    interface_states: int
+    cycle_length: int  # factors on the fundamental cycle
+    rank_one: bool  # decided by the rank-1 rule, with no composition
+
+
+@dataclass(frozen=True)
 class HatccResult:
-    status: str  # "ok" | "unsat"
+    status: str  # "ok" | "unsat" | "approximate" | "cap_exceeded"
     Z: float
     marginals: tuple[np.ndarray, ...]
     report: Optional[HolonomyReport]
     timings: dict
-    running_intersection_ok: bool
+    chords: tuple[ChordRecord, ...] = ()
+    max_clique_entries: int = 0
+    reason: Optional[str] = None  # why the status is not "ok"
     unsat_chord: Optional[tuple[int, int]] = None
     compiled: Optional[CompiledModel] = None
+
+
+def _chord_records(graph: FactorGraph,
+                   report: HolonomyReport) -> tuple[ChordRecord, ...]:
+    return tuple(ChordRecord(
+        cr.cycle.chord.key, cr.trivial,
+        math.prod(graph.scope_shape(cr.cycle.chord.interface)),
+        len(cr.cycle.factor_sequence), cr.rank_one) for cr in report.chords)
 
 
 def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
                 cap: int = 2 ** 16) -> HatccResult:
     """Run the full compile-and-solve pipeline.
 
-    Phases: validate, nerve, backbone/cycles + holonomy, mode quotients
-    and selectors for the non-trivial chords, augmented-graph
-    construction, separator passing over the augmented nerve tree, mode
-    marginalization.  Every graph takes this one path; a forest is the
-    case with no chord, so ``augment`` adds no selector and the backbone
-    is already a junction tree.
+    Phases: validate; diagnose (nerve, backbone, cycles); augment (the
+    cut decisions, which compose the holonomies the rank-1 rule leaves
+    open, the split model and its junction tree); propagate; marginalize.
+    Every graph takes this one path; a forest is the case with no chord.
+    The status is "unsat" on a certificate or a zero Z, "cap_exceeded"
+    when an interface or a clique is over ``cap``, and "approximate"
+    when ``tol > 0`` cut a chord whose exact holonomy is not the
+    identity.
     """
     sr = graph.ops
     timings: dict[str, float] = {}
@@ -232,14 +394,27 @@ def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
     report = diagnose(graph, tol=tol, cap=cap)
     timings["diagnose"] = time.perf_counter() - t0
 
+    def placeholder():
+        return tuple(sr.normalize(np.full(v.cardinality, sr.one))
+                     for v in graph.variables)
+
     t0 = time.perf_counter()
-    compiled = augment(graph, report)
+    try:
+        compiled = augment(graph, report, cap)
+    except InterfaceCapExceeded as exc:
+        timings["augment"] = time.perf_counter() - t0
+        return HatccResult("cap_exceeded", math.nan, placeholder(), report,
+                           timings, reason=str(exc))
+    records = _chord_records(graph, report)
     timings["augment"] = time.perf_counter() - t0
     if isinstance(compiled, UnsatCertificate):
-        marg = tuple(sr.normalize(np.full(v.cardinality, sr.one))
-                     for v in graph.variables)
-        return HatccResult("unsat", sr.zero, marg, report, timings, True,
+        return HatccResult("unsat", sr.zero, placeholder(), report, timings,
+                           records, reason=compiled.detail,
                            unsat_chord=compiled.chord)
+    if isinstance(compiled, CapExceeded):
+        return HatccResult("cap_exceeded", math.nan, placeholder(), report,
+                           timings, records, compiled.entries,
+                           compiled.detail)
 
     t0 = time.perf_counter()
     ct = cluster_tree_propagate(compiled)
@@ -247,9 +422,8 @@ def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
 
     Z = ct.Z
     # variables untouched by any factor contribute the total of sr.one
-    touched = {v for f in graph.factors for v in f.scope}
-    for v in graph.variables:
-        if v.id not in touched:
+    for v, copies in zip(graph.variables, compiled.var_copies):
+        if not copies:
             Z = float(sr.mul(Z, sr.add_reduce(np.full(v.cardinality, sr.one),
                                               None)))
 
@@ -257,9 +431,16 @@ def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
     marg = marginalize_modes(compiled, ct)
     timings["marginalize"] = time.perf_counter() - t0
 
-    status = "unsat" if ct.unsat else "ok"
-    return HatccResult(status, Z, tuple(marg), report, timings,
-                       compiled.running_intersection_ok, compiled=compiled)
+    status, reason = "ok", None
+    if ct.unsat:
+        status = "unsat"
+    elif compiled.inexact_cuts:
+        status = "approximate"
+        reason = (f"tol={tol} cut chord(s) {list(compiled.inexact_cuts)} "
+                  "whose exact holonomy is not the identity")
+    entries = max((f.table.size for f in compiled.graph.factors), default=0)
+    return HatccResult(status, Z, tuple(marg), report, timings, records,
+                       entries, reason, compiled=compiled)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +529,16 @@ def result_to_json_dict(result: HatccResult) -> dict:
     if result.status == "unsat":
         out["unsat_chord"] = list(result.unsat_chord) \
             if result.unsat_chord else None
-    out["Z"] = result.Z
+    if result.reason is not None:
+        out["reason"] = result.reason
+    out["Z"] = None if math.isnan(result.Z) else result.Z
     out["marginals"] = [[float(x) for x in m] for m in result.marginals]
     if result.report is not None:
         out["holonomy"] = report_to_json_dict(result.report)
-    out["running_intersection_ok"] = result.running_intersection_ok
+    out["chords"] = [{"chord": list(r.chord), "cut": r.cut,
+                      "interface_states": r.interface_states,
+                      "cycle_length": r.cycle_length,
+                      "rank_one": r.rank_one} for r in result.chords]
+    out["max_clique_entries"] = result.max_clique_entries
     out["timings_ms"] = {k: 1000.0 * v for k, v in result.timings.items()}
     return out

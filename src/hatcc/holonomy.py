@@ -12,9 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional, Sequence
+import string
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .nerve import build_factor_nerve, backbone as build_backbone
 from .nerve import fundamental_cycle
 
 DEFAULT_INTERFACE_CAP = 2 ** 16
+SMALL_PRODUCT = 2 ** 12  # multiply-adds below which Boolean matmul is faster
 
 
 class InterfaceCapExceeded(RuntimeError):
@@ -59,6 +61,10 @@ def transport_kernel(graph: FactorGraph, factor_id: int,
     Entry (x, y) is 1 iff some full scope configuration extending both
     has nonzero potential; pairs that disagree on shared variables are
     never supported.  ``tol`` widens what counts as zero.
+
+    The support is any-reduced over the scope variables outside source
+    and target, then written through a diagonal ``einsum`` view of the
+    source-by-target array, which ties a variable in both to one axis.
     """
     f = graph.factors[factor_id]
     for name, part in (("source", source), ("target", target)):
@@ -67,31 +73,36 @@ def transport_kernel(graph: FactorGraph, factor_id: int,
                              f"factor {factor_id} scope {f.scope}")
     source = tuple(source)
     target = tuple(target)
-    table = graph.factor_nd(f)
-    supported = ~graph.ops.is_zero(table, tol)
+    supported = ~graph.ops.is_zero(graph.factor_nd(f), tol)
+    union = set(source) | set(target)
+    drop = tuple(i for i, v in enumerate(f.scope) if v not in union)
+    if drop:
+        supported = supported.any(axis=drop)
     src_shape = graph.scope_shape(source)
     tgt_shape = graph.scope_shape(target)
-    kernel = np.zeros((math.prod(src_shape), math.prod(tgt_shape)),
-                      dtype=bool)
-    configs = np.argwhere(supported)
-    if configs.size:
-        axis_of = {v: i for i, v in enumerate(f.scope)}
-        src_idx = np.ravel_multi_index(
-            tuple(configs[:, axis_of[v]] for v in source), src_shape) \
-            if source else np.zeros(len(configs), dtype=np.int64)
-        tgt_idx = np.ravel_multi_index(
-            tuple(configs[:, axis_of[v]] for v in target), tgt_shape) \
-            if target else np.zeros(len(configs), dtype=np.int64)
-        kernel[src_idx, tgt_idx] = True
-    return TransportKernel(source, target, kernel)
+    kernel = np.zeros(src_shape + tgt_shape, dtype=bool)
+    if union:
+        letter = dict(zip(union, string.ascii_letters))
+        kept = "".join(letter[v] for v in f.scope if v in union)
+        view = np.einsum("".join(letter[v] for v in source + target)
+                         + "->" + kept, kernel)
+        view[...] = supported
+    else:
+        kernel[...] = supported.any()
+    return TransportKernel(source, target, kernel.reshape(
+        math.prod(src_shape), math.prod(tgt_shape)))
 
 
 def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Boolean matrix product.
 
-    A float BLAS product counts the paths; a sum of non-negative terms is
-    0 only when every term is, so ``> 0`` is exact for any path count.
+    A small product runs numpy's Boolean matmul, an OR of ANDs.  A large
+    one runs a float BLAS product, which counts the paths; a sum of
+    non-negative terms is 0 only when every term is, so ``> 0`` is exact
+    for any path count.
     """
+    if a.shape[0] * a.shape[1] * b.shape[1] <= SMALL_PRODUCT:
+        return a @ b
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
@@ -185,11 +196,24 @@ def is_trivial(H: HolonomyMatrix) -> bool:
 
 @dataclass(frozen=True)
 class ChordReport:
-    """A chord's cycle and holonomy.  The mode quotient is taken on first
-    use, so a trivial chord, which ``compile.augment`` skips, never pays
-    for the closure."""
+    """A chord's cycle; its holonomy and mode quotient are built on first
+    use.
+
+    ``rank_one`` marks a chord decided without composition: some factor
+    on the cycle has full support and carries disjoint source and target
+    interfaces, so its kernel is all ones and the holonomy is a rank-1
+    Boolean matrix (every true entry pairs a state of one fixed row set
+    with one of a fixed column set).  On an interface of two or more
+    states such a matrix is never the identity, so the chord is not
+    trivial.
+    """
     cycle: FundamentalCycle
-    holonomy: HolonomyMatrix
+    rank_one: bool
+    build: Callable[[], HolonomyMatrix] = field(repr=False, compare=False)
+
+    @cached_property
+    def holonomy(self) -> HolonomyMatrix:
+        return self.build()
 
     @cached_property
     def quotient(self) -> ModeQuotient:
@@ -197,7 +221,7 @@ class ChordReport:
 
     @cached_property
     def trivial(self) -> bool:
-        return is_trivial(self.holonomy)
+        return not self.rank_one and is_trivial(self.holonomy)
 
 
 @dataclass(frozen=True)
@@ -205,24 +229,55 @@ class HolonomyReport:
     nerve: FactorNerve
     backbone: Backbone
     chords: tuple[ChordReport, ...]
+    tol: float  # support tolerance of the holonomies
+
+
+def _full_support(graph: FactorGraph, tol: float = 0.0) -> np.ndarray:
+    """Per factor: True iff no table entry counts as zero under ``tol``."""
+    if not graph.factors:
+        return np.zeros(0, dtype=bool)
+    tables = [f.table for f in graph.factors]
+    starts = np.cumsum([0] + [t.size for t in tables[:-1]])
+    zero = graph.ops.is_zero(np.concatenate(tables), tol)
+    return ~np.logical_or.reduceat(zero, starts)
+
+
+def _is_rank_one(graph: FactorGraph, cycle: FundamentalCycle,
+                full: np.ndarray) -> bool:
+    """The rank-1 rule: an interface of at least two states and a factor
+    on the cycle with full support (``full``, from ``_full_support``)
+    between disjoint source and target interfaces."""
+    interfaces = cycle.interface_sequence
+    if math.prod(graph.scope_shape(interfaces[-1])) < 2:
+        return False
+    return any(full[fid] and set(source).isdisjoint(target)
+               for fid, source, target in zip(
+                   cycle.factor_sequence, [interfaces[-1], *interfaces],
+                   interfaces))
 
 
 def diagnose(graph: FactorGraph, tol: float = 0.0,
              cap: int = DEFAULT_INTERFACE_CAP) -> HolonomyReport:
-    """Nerve, backbone, and per-chord holonomy; modes on demand.
+    """Nerve, backbone, and per-chord cycles; holonomy and modes on
+    demand.
 
-    Each transport kernel is built once and shared by every chord whose
-    cycle passes through it.
+    Each chord's holonomy is composed when first read, not here, so a
+    chord the rank-1 rule decides never pays for it.  Each transport
+    kernel is built once and shared by every chord whose cycle passes
+    through it.
     """
     nerve = build_factor_nerve(graph)
     bb = build_backbone(nerve)
+    full = _full_support(graph, tol) if bb.chords else None
     kernels: dict = {}
     chords = []
     for chord in bb.chords:
         cycle = fundamental_cycle(graph, bb, chord)
-        H = holonomy_matrix(graph, cycle, tol, cap, _kernels=kernels)
-        chords.append(ChordReport(cycle, H))
-    return HolonomyReport(nerve, bb, tuple(chords))
+        chords.append(ChordReport(
+            cycle, _is_rank_one(graph, cycle, full),
+            partial(holonomy_matrix, graph, cycle, tol, cap,
+                    _kernels=kernels)))
+    return HolonomyReport(nerve, bb, tuple(chords), tol)
 
 
 def report_to_json_dict(report: HolonomyReport) -> dict:

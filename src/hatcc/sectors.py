@@ -53,6 +53,8 @@ class SectorResult:
     marginals: tuple[np.ndarray, ...]  # recombined
     converged: tuple[bool, ...]  # per orbit (True for exact tree runs)
     unsat: bool
+    iterations: tuple[int, ...]  # per orbit BP sweeps (0 for exact runs)
+    oscillating: tuple[bool, ...]  # per orbit (False for exact runs)
 
 
 def _pairwise_structure(graph: FactorGraph):
@@ -188,19 +190,24 @@ def sector_infer(graph: FactorGraph,
     evidences: list[float] = []
     all_marg: list[tuple[np.ndarray, ...]] = []
     converged: list[bool] = []
+    iterations: list[int] = []
+    oscillating: list[bool] = []
     for orbit in dec.orbits:
         bel, Z, _deg = bp_engine.run_tree_exact(
             _clamped_graph(graph, tree_keep, dec.base, orbit))
-        ok = True
+        ok, iters, osc = True, 0, False
         if loopy:
             res = bp_engine.run(
                 _clamped_graph(graph, range(len(graph.factors)), dec.base,
                                orbit),
                 max_iters=max_iters, residual_threshold=residual_threshold)
             bel, ok = res.beliefs, res.converged
+            iters, osc = res.iterations, res.oscillating
         evidences.append(Z)
         all_marg.append(tuple(bel))
         converged.append(ok)
+        iterations.append(iters)
+        oscillating.append(osc)
 
     total = float(sum(evidences))
     n_orbits = len(dec.orbits)
@@ -209,7 +216,8 @@ def sector_infer(graph: FactorGraph,
         marg = tuple(np.full(v.cardinality, 1.0 / v.cardinality)
                      for v in graph.variables)
         return SectorResult(dec, mode, tuple(evidences), weights,
-                            tuple(all_marg), marg, tuple(converged), True)
+                            tuple(all_marg), marg, tuple(converged), True,
+                            tuple(iterations), tuple(oscillating))
     weights = tuple(z / total for z in evidences)
     marg = []
     for v in graph.variables:
@@ -219,7 +227,7 @@ def sector_infer(graph: FactorGraph,
         marg.append(acc)
     return SectorResult(dec, mode, tuple(evidences), weights,
                         tuple(all_marg), tuple(marg), tuple(converged),
-                        False)
+                        False, tuple(iterations), tuple(oscillating))
 
 
 def sector_report_json(result: SectorResult) -> dict:
@@ -231,5 +239,7 @@ def sector_report_json(result: SectorResult) -> dict:
         "evidences": list(result.evidences),
         "weights": list(result.weights),
         "converged": list(result.converged),
+        "iterations": list(result.iterations),
+        "oscillating": list(result.oscillating),
         "unsat": result.unsat,
     }

@@ -4,8 +4,8 @@ calibration.
 ``calibrate`` is the one exact tree solver.  It runs two-pass separator
 message passing (Lauritzen & Spiegelhalter 1988, Shafer & Shenoy) over a
 cluster forest in any semiring.  Its callers build the forest: the
-augmented nerve of ``compile.cluster_tree_propagate``, which every
-``hatcc_infer`` run calibrates, and the bipartite factor graph of
+split-model junction tree of ``compile.cluster_tree_propagate``, which
+every ``hatcc_infer`` run calibrates, and the bipartite factor graph of
 ``bp_engine.run_tree_exact``.
 """
 from __future__ import annotations
@@ -107,6 +107,19 @@ def tree_path(up: Callable[[Hashable], Optional[Hashable]], u: Hashable,
     return anc_u[:pos[path_v[-1]]] + path_v[::-1]
 
 
+def expand(table: np.ndarray, scope: Sequence[int],
+           target: Sequence[int]) -> np.ndarray:
+    """A table over ``scope`` viewed with one axis per variable of
+    ``target``, size 1 where ``scope`` lacks the variable, so that it
+    broadcasts against a table over ``target``."""
+    pos = [target.index(v) for v in scope]
+    shape = [1] * len(target)
+    for p, n in zip(pos, table.shape):
+        shape[p] = n
+    return table.transpose(sorted(range(len(pos)),
+                                  key=pos.__getitem__)).reshape(shape)
+
+
 def _message(sr: Semiring, table: np.ndarray, scope: Sequence[int],
              separator: Sequence[int], target: Sequence[int]) -> np.ndarray:
     """Restrict a cluster table to a separator, shaped to broadcast
@@ -114,12 +127,7 @@ def _message(sr: Semiring, table: np.ndarray, scope: Sequence[int],
     drop = tuple(i for i, v in enumerate(scope) if v not in separator)
     if drop:
         table = sr.add_reduce(table, drop)
-    pos = [target.index(v) for v in scope if v in separator]
-    shape = [1] * len(target)
-    for p, n in zip(pos, table.shape):
-        shape[p] = n
-    return table.transpose(sorted(range(len(pos)),
-                                  key=pos.__getitem__)).reshape(shape)
+    return expand(table, [v for v in scope if v in separator], target)
 
 
 def calibrate(sr: Semiring, scopes: Sequence[Sequence[int]],

@@ -1,12 +1,14 @@
 """Graph builders and brute-force references shared by the test modules."""
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
-from hatcc.factor_graph import (FactorDecl, FactorGraph, VariableDecl,
-                                joint_weight)
+from hatcc.factor_graph import (SEMIRINGS, FactorDecl, FactorGraph,
+                                VariableDecl, joint_weight)
 from hatcc.nerve import FactorNerve, NerveEdge
+from hatcc.trees import UnionFind
 
 
 def random_pairwise_tree(seed: int, n: int = 10,
@@ -97,3 +99,99 @@ def all_pairs_nerve(graph: FactorGraph) -> FactorNerve:
             overlaps[j] += 1
     return FactorNerve(tuple(range(len(scopes))), tuple(edges),
                        tuple(overlaps))
+
+
+def random_cnf(seed: int, n: int, m: int,
+               semiring: str = "boolean") -> FactorGraph:
+    """Random 3-CNF on ``n`` binary variables with ``m`` clauses.
+
+    Each clause is a factor on three distinct variables whose table is
+    the semiring one except at the single assignment that falsifies it,
+    where it is the semiring zero.  Under sum-product Z counts models.
+    """
+    sr = SEMIRINGS[semiring]
+    r = np.random.default_rng(seed)
+    factors = []
+    for j in range(m):
+        scope = tuple(int(v) for v in r.choice(n, size=3, replace=False))
+        falsifying = tuple(int(b) for b in r.integers(0, 2, 3))
+        table = np.full((2, 2, 2), sr.one)
+        table[falsifying] = sr.zero
+        factors.append(FactorDecl(j, scope, table.ravel()))
+    return FactorGraph(semiring, tuple(VariableDecl(i, 2) for i in range(n)),
+                       tuple(factors))
+
+
+def in_semiring(graph: FactorGraph, semiring: str) -> FactorGraph:
+    """The same positive model under another semiring: energies -log t
+    under min-sum; under Boolean, the entries at least their factor's
+    mean (the support of a 0/1 table, an agreement pattern otherwise)."""
+    def table(t):
+        if semiring == "min_sum":
+            with np.errstate(divide="ignore"):
+                return -np.log(t)
+        if semiring == "boolean":
+            return (t >= t.mean()).astype(float)
+        return t
+    return FactorGraph(semiring, graph.variables, tuple(
+        FactorDecl(f.id, f.scope, table(f.table)) for f in graph.factors))
+
+
+def enumerate_semiring(graph: FactorGraph):
+    """Semiring total and normalized per-variable marginals by building
+    the full joint table: max-marginals under max-product, min-energy
+    marginals under min-sum.  For desk-sized models only."""
+    sr = graph.ops
+    n = len(graph.variables)
+    shape = tuple(v.cardinality for v in graph.variables)
+    joint = np.full(shape, sr.one)
+    for f in graph.factors:
+        axes = sorted(range(len(f.scope)), key=lambda i: f.scope[i])
+        view = [1] * n
+        for v in f.scope:
+            view[v] = shape[v]
+        joint = sr.mul(joint, graph.factor_nd(f).transpose(axes)
+                       .reshape(view))
+    total = float(sr.add_reduce(joint, None))
+    marg = [sr.normalize(sr.add_reduce(
+        joint, tuple(a for a in range(n) if a != v))) for v in range(n)]
+    return total, marg
+
+
+def running_intersection_violations(scopes, edges) -> list:
+    """Variables whose holding clusters do not form a connected subtree
+    of the cluster forest ``edges`` (pairs of cluster indices).
+
+    In a forest, the k clusters holding v are connected exactly when
+    k - 1 edges join two of them.
+    """
+    holders = Counter(v for scope in scopes for v in scope)
+    joins = Counter(v for a, b in edges for v in set(scopes[a]) &
+                    set(scopes[b]))
+    return sorted(v for v, k in holders.items() if joins[v] != k - 1)
+
+
+def assert_junction_tree(compiled) -> None:
+    """A compiled model is a junction forest: its edges form a forest,
+    each separator is the intersection of its two cluster scopes, and
+    the clusters holding each copy form a connected subtree."""
+    scopes = [f.scope for f in compiled.graph.factors]
+    uf = UnionFind()
+    for e in compiled.cluster_edges:
+        assert uf.union(e.a, e.b), "cluster edges close a cycle"
+        assert set(e.separator) == set(scopes[e.a]) & set(scopes[e.b])
+    assert running_intersection_violations(
+        scopes, [(e.a, e.b) for e in compiled.cluster_edges]) == []
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` for the test; the returned list gains one
+    entry per call."""
+    calls: list = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls

@@ -64,6 +64,16 @@ class TestInfer:
         assert payload["Z"] == pytest.approx(2.0)
         assert payload["holonomy"]["n_chords"] == 1
 
+    def test_hatcc_reports_each_chord(self, even_cycle, capsys):
+        code, out, _ = run(capsys, "infer", even_cycle, "--method", "hatcc")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["chords"] == [{"chord": [2, 3], "cut": True,
+                                      "interface_states": 2,
+                                      "cycle_length": 4, "rank_one": False}]
+        assert payload["max_clique_entries"] == 4
+        assert "reason" not in payload
+
     def test_unsat_is_result_not_error(self, tmp_path, capsys):
         path = str(tmp_path / "odd.json")
         run(capsys, "gen", "four-cycle", "--parity", "odd", "-o", path)
@@ -182,6 +192,15 @@ class TestSweep:
             assert row["converged"] == str(int(all(res["converged"]))) == "0"
             assert float(row["mean_tv"]) == metrics.mean_tv(
                 res["marginals"], truth)
+
+    def test_sectors_rows_report_bp_iterations(self, capsys):
+        capped = self.sweep_rows(capsys, "--methods", "sectors",
+                                 "--max-iters", "1")
+        assert [r["iterations"] for r in capped] == ["1", "1"]
+        default = self.sweep_rows(capsys, "--methods", "sectors")
+        for row in default:
+            assert 1 < int(row["iterations"]) < 200
+            assert row["oscillating"] == "0"
 
     def test_seed_option_rejected(self, capsys):
         with pytest.raises(SystemExit) as ei:

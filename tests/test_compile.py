@@ -1,49 +1,28 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import all_pairs_nerve, brute_force, random_nerve_tree
+from helpers import (all_pairs_nerve, assert_junction_tree, brute_force,
+                     count_calls, enumerate_semiring, in_semiring,
+                     random_cnf, random_nerve_tree,
+                     running_intersection_violations)
 from hatcc import bp_engine as bp
 from hatcc import factor_graph, holonomy
 from hatcc.compile import (CompiledModel, UnsatCertificate, augment,
-                           build_selector, check_descent_datum,
-                           cluster_tree_propagate, glue_restriction,
-                           hatcc_infer, marginalize_modes)
+                           check_descent_datum, cluster_tree_propagate,
+                           glue_restriction, hatcc_infer, marginalize_modes,
+                           min_fill_order, result_to_json_dict)
 from hatcc.factor_graph import (SEMIRINGS, FactorDecl, FactorGraph,
                                 PotentialSlice, VariableDecl, restrict)
 from hatcc.generators import (gen_four_cycle, gen_grid_mrf,
                               gen_permutation_graph, gen_zk_sync)
 from hatcc.holonomy import diagnose
 from hatcc.metrics import mean_tv
-from hatcc.oracle import exact_marginals
-
-
-class TestBuildSelector:
-    def test_odd_cycle_unsat_certificate(self):
-        g = gen_four_cycle("odd")
-        rep = diagnose(g)
-        cr = rep.chords[0]
-        out = build_selector(g, cr.holonomy, cr.quotient)
-        assert isinstance(out, UnsatCertificate)
-        assert out.chord == cr.holonomy.chord.key
-
-    def test_even_cycle_diagonal_selector(self):
-        g = gen_four_cycle("even")
-        rep = diagnose(g)
-        cr = rep.chords[0]
-        sel = build_selector(g, cr.holonomy, cr.quotient)
-        assert sel.n_modes == 2
-        np.testing.assert_array_equal(sel.table, np.eye(2))
-
-    def test_all_ones_holonomy_single_mode(self):
-        r = np.random.default_rng(0)
-        variables = tuple(VariableDecl(i, 2) for i in range(4))
-        factors = tuple(FactorDecl(i, (i, (i + 1) % 4),
-                                   r.uniform(0.1, 1, 4)) for i in range(4))
-        g = FactorGraph("sum_product", variables, factors)
-        cr = diagnose(g).chords[0]
-        sel = build_selector(g, cr.holonomy, cr.quotient)
-        assert sel.n_modes == 1
-        assert (sel.table != 0).sum() == 2
+from hatcc.oracle import exact_map, exact_marginals
 
 
 class TestAugment:
@@ -52,30 +31,41 @@ class TestAugment:
         rep = diagnose(g)
         compiled = augment(g, rep)
         assert isinstance(compiled, CompiledModel)
-        assert len(compiled.graph.variables) == len(g.variables)
-        assert len(compiled.graph.factors) == len(g.factors)
+        assert_junction_tree(compiled)
+        assert compiled.cut == ()
+        assert [len(c) for c in compiled.var_copies] == [1] * len(
+            g.variables)
 
     def test_even_cycle_counts(self):
-        # the copy ring's holonomy is the identity: no mode variable
+        # the copy ring's holonomy is the identity: the chord is cut, so
+        # its variable gets a copy at each end and the ring opens to a
+        # path of five copies, four pair cliques and three edges
         g = gen_four_cycle("even")
         rep = diagnose(g)
         assert [cr.trivial for cr in rep.chords] == [True]
         compiled = augment(g, rep)
-        assert len(compiled.graph.variables) == 4
+        assert_junction_tree(compiled)
+        assert compiled.cut == (rep.chords[0].cycle.chord.key,)
+        assert len(compiled.graph.variables) == 5
+        assert sorted(map(len, compiled.var_copies)) == [1, 1, 1, 2]
         assert len(compiled.graph.factors) == 4
         assert len(compiled.cluster_edges) == 3
-        # positive tables make it all ones: one mode variable and selector
+        # positive tables: the rank-1 rule keeps the chord; one fill edge
+        # closes the ring into two triangle cliques
         r = np.random.default_rng(0)
         g = FactorGraph("sum_product", g.variables,
                         tuple(FactorDecl(f.id, f.scope, r.uniform(0.1, 1, 4))
                               for f in g.factors))
-        compiled = augment(g, diagnose(g))
-        assert len(compiled.graph.variables) == 5
-        assert len(compiled.graph.factors) == 5
-        # augmented nerve: 5 clusters, 4 edges
-        assert len(compiled.cluster_edges) == 4
+        rep = diagnose(g)
+        assert [cr.rank_one for cr in rep.chords] == [True]
+        compiled = augment(g, rep)
+        assert_junction_tree(compiled)
+        assert compiled.cut == ()
+        assert len(compiled.graph.variables) == 4
+        assert [len(f.scope) for f in compiled.graph.factors] == [3, 3]
+        assert len(compiled.cluster_edges) == 1
 
-    def test_one_mode_var_per_chord(self):
+    def test_cuts_exactly_the_trivial_chords(self):
         # (graph, chords, non-trivial chords): consistent hard permutations,
         # corrupted Z_k sync, and inconsistent hard permutations (a mix)
         cases = [
@@ -85,20 +75,23 @@ class TestAugment:
             (gen_permutation_graph("random", 3, 0.0, 4, consistent=False,
                                    n=7, p=0.5).graph, 2, 1),
         ]
-        for g, n_chords, n_modes in cases:
+        for g, n_chords, n_kept in cases:
             rep = diagnose(g)
             assert len(rep.backbone.chords) == n_chords
-            nontrivial = {cr.holonomy.chord.key for cr in rep.chords
-                          if not cr.trivial}
-            assert len(nontrivial) == n_modes
+            trivial = [cr.cycle.chord.key for cr in rep.chords
+                       if cr.trivial]
+            assert len(trivial) == n_chords - n_kept
             compiled = augment(g, rep)
-            assert set(compiled.mode_vars) == nontrivial
-            assert set(compiled.selector_ids) == nontrivial
-            assert len(compiled.graph.variables) == \
-                len(g.variables) + n_modes
-            assert len(compiled.graph.factors) == len(g.factors) + n_modes
+            assert_junction_tree(compiled)
+            assert list(compiled.cut) == trivial
+            assert compiled.inexact_cuts == ()
+            # a cut can only add copies; a model without one has none
+            assert len(compiled.graph.variables) >= len(g.variables)
+            if not trivial:
+                assert len(compiled.graph.variables) == len(g.variables)
 
-    def test_mode_quotient_once_per_nontrivial_chord(self, monkeypatch):
+    def test_no_mode_quotient_in_the_solve(self, monkeypatch):
+        # modes stay in diagnose's report; the solve never takes one
         calls = []
         real = holonomy.mode_quotient
 
@@ -114,43 +107,62 @@ class TestAugment:
             calls.clear()
             res = hatcc_infer(g)
             assert res.status == "ok"
-            nontrivial = [cr.holonomy.chord.key for cr in res.report.chords
-                          if not cr.trivial]
-            assert calls == nontrivial
+            assert calls == []
+            # the report still takes each chord's modes once, on demand
+            for cr in res.report.chords:
+                assert cr.quotient is cr.quotient
+            assert calls == [cr.cycle.chord.key for cr in res.report.chords]
 
     def test_odd_cycle_unsat_propagates(self):
         g = gen_four_cycle("odd")
-        assert isinstance(augment(g, diagnose(g)), UnsatCertificate)
+        rep = diagnose(g)
+        out = augment(g, rep)
+        assert isinstance(out, UnsatCertificate)
+        assert out.chord == rep.chords[0].cycle.chord.key
 
-    def test_running_intersection_flags_pinned(self):
-        g = gen_grid_mrf(3, 3, 2.0, 0.3, 0)
-        compiled = augment(g, diagnose(g))
-        assert compiled.running_intersection_ok is False
-        assert compiled.ri_violations == (4, 5, 7, 8)
-        # on a plain cycle the chord's variable skips the tree path
+    def test_all_ones_holonomy_kept_by_the_rank_one_rule(self, monkeypatch):
+        # positive tables make the holonomy all ones: not the identity,
+        # decided without a single composition
+        composed = count_calls(monkeypatch, holonomy, "compose")
+        r = np.random.default_rng(0)
+        variables = tuple(VariableDecl(i, 2) for i in range(4))
+        factors = tuple(FactorDecl(i, (i, (i + 1) % 4),
+                                   r.uniform(0.1, 1, 4)) for i in range(4))
+        g = FactorGraph("sum_product", variables, factors)
+        cr = diagnose(g).chords[0]
+        assert cr.rank_one and not cr.trivial
+        assert composed == []
+        assert cr.holonomy.matrix.all()
+
+    def test_junction_tree_has_running_intersection(self):
+        # the backbone of a grid or a plain cycle breaks running
+        # intersection; the compiled junction tree never does
+        grid = gen_grid_mrf(3, 3, 2.0, 0.3, 0)
         cycle = gen_permutation_graph("cycle", 3, 0.1, 0, consistent=True,
                                       n=6).graph
-        compiled = augment(cycle, diagnose(cycle))
-        assert compiled.running_intersection_ok is False
-        assert compiled.ri_violations == (5,)
+        for g, bad in ((grid, [4, 5, 7, 8]), (cycle, [5])):
+            rep = diagnose(g)
+            backbone = [(e.f1, e.f2) for e in rep.backbone.tree_edges]
+            assert running_intersection_violations(
+                [f.scope for f in g.factors], backbone) == bad
+            assert_junction_tree(augment(g, rep))
         # a spanning tree: the all-pairs nerve's cycles are cliques around
         # one variable, which the sparse nerve leaves out
         star = gen_permutation_graph("random", 3, 0.1, 3, consistent=True,
                                      n=7, p=0.0).graph
         rep = diagnose(star)
         assert len(rep.backbone.chords) == 0
-        compiled = augment(star, rep)
-        assert compiled.running_intersection_ok is True
-        assert compiled.ri_violations == ()
+        assert_junction_tree(augment(star, rep))
         res = hatcc_infer(star)
         assert res.status == "ok"
-        assert res.compiled.selector_ids == {}
+        assert res.chords == ()
 
     def test_tree_identity_on_generated_instances(self):
         for seed in range(10):
             inst = gen_zk_sync("random", 2, 0.1, 0.5, seed, n=7, p=0.4)
             rep = diagnose(inst.graph)
             compiled = augment(inst.graph, rep)
+            assert_junction_tree(compiled)
             n_clusters = len(compiled.graph.factors)
             components = len(rep.backbone.roots)
             assert len(compiled.cluster_edges) == n_clusters - components
@@ -214,12 +226,13 @@ class TestMarginalizeModes:
         compiled = augment(inst.graph, diagnose(inst.graph))
         res = cluster_tree_propagate(compiled)
         sr = inst.graph.ops
-        for v in range(compiled.original_var_count):
+        for copies in compiled.var_copies:
             vals = []
             for b in res.beliefs:
-                if v in b.scope:
-                    vec = restrict(b, (v,), sr).table
+                for c in set(copies) & set(b.scope):
+                    vec = restrict(b, (c,), sr).table
                     vals.append(vec / vec.sum())
+            assert vals
             for w in vals[1:]:
                 np.testing.assert_allclose(vals[0], w, rtol=1e-12)
 
@@ -327,7 +340,7 @@ class TestHatccInfer:
         res = hatcc_infer(g)
         truth = exact_marginals(g)
         assert res.status == "ok"
-        assert res.running_intersection_ok
+        assert_junction_tree(res.compiled)
         assert res.Z == truth.Z == 1024
         assert mean_tv(res.marginals, truth.marginals) < 1e-12
 
@@ -446,3 +459,281 @@ class TestDescentDatum:
                                            rtol=1e-12)
             np.testing.assert_allclose(
                 outs[0].table, restrict(full, target, sr).table, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Exactness gates
+# ---------------------------------------------------------------------------
+
+@st.composite
+def models(draw):
+    """Grids, corrupted Z_k sync, permutation graphs (inconsistent, or
+    consistent, whose chords are cut) and random 3-CNF, in any
+    semiring, small enough to enumerate."""
+    family = draw(st.sampled_from(("grid", "zk", "perm", "cnf")))
+    semiring = draw(st.sampled_from(sorted(SEMIRINGS)))
+    seed = draw(st.integers(0, 2 ** 20))
+    if family == "cnf":
+        n = draw(st.integers(3, 10))
+        return random_cnf(seed, n, draw(st.integers(1, 6 * n)), semiring)
+    if family == "grid":
+        g = gen_grid_mrf(draw(st.integers(1, 3)), draw(st.integers(2, 4)),
+                         draw(st.sampled_from((0.5, 0.7, 1.4, 2.0))),
+                         draw(st.sampled_from((0.0, 0.5))), seed)
+    elif family == "zk":
+        k = draw(st.integers(2, 3))
+        g = gen_zk_sync(draw(st.sampled_from(("cycle", "random"))), k,
+                        draw(st.sampled_from((0.1, 0.3))),
+                        draw(st.sampled_from((0.0, 0.5, 1.0))), seed,
+                        n=draw(st.integers(3, 9 if k == 2 else 6)),
+                        p=0.5).graph
+    else:
+        d = draw(st.integers(2, 3))
+        g = gen_permutation_graph(draw(st.sampled_from(("cycle", "random"))),
+                                  d, draw(st.sampled_from((0.0, 0.2))), seed,
+                                  consistent=draw(st.booleans()),
+                                  n=draw(st.integers(3, 9 if d == 2 else 6)),
+                                  p=0.5).graph
+        # smoothing some hard tables mixes cut and kept chords
+        smooth = np.random.default_rng(seed).random(len(g.factors)) < \
+            draw(st.sampled_from((0.0, 0.3)))
+        g = FactorGraph(g.semiring, g.variables, tuple(
+            FactorDecl(f.id, f.scope, f.table + 0.2 * s)
+            for f, s in zip(g.factors, smooth)))
+    return in_semiring(g, semiring)
+
+
+class TestExactness:
+    @given(models(), st.sampled_from((0.0, 0.0, 0.05)))
+    @settings(max_examples=400, deadline=None)
+    def test_ok_means_exact(self, g, tol):
+        """status "ok" => Z and marginals within 1e-10 of an enumeration:
+        the oracle under sum-product, exact_map and the enumerated
+        max-marginals otherwise."""
+        res = hatcc_infer(g, tol=tol)
+        if res.compiled is not None:
+            assert_junction_tree(res.compiled)
+        if g.semiring == "sum_product":
+            truth = exact_marginals(g)
+            Z, marg = truth.Z, truth.marginals
+        else:
+            Z, marg = enumerate_semiring(g)
+            assert exact_map(g).weight == Z
+        if res.status == "unsat":
+            assert Z == g.ops.zero
+            return
+        assert res.status in ("ok", "approximate")
+        if res.status == "approximate":
+            assert tol > 0 and res.reason
+            return
+        if g.semiring == "min_sum":
+            assert abs(res.Z - Z) <= 1e-10 * max(1.0, abs(Z))
+        else:
+            assert abs(res.Z - Z) <= 1e-10 * Z
+        for got, want in zip(res.marginals, marg):
+            if g.semiring == "sum_product":
+                assert 0.5 * np.abs(got - want).sum() < 1e-10
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-10,
+                                           atol=1e-10)
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cut_and_kept_chords_together(self, seed):
+        # a consistent hard permutation grid has identity holonomy on
+        # every cycle; smoothing a factor on one cycle only makes that
+        # chord rank-1 and kept, while the others stay cut
+        g = gen_permutation_graph("grid", 3, 0.0, seed, consistent=True,
+                                  rows=3, cols=3).graph
+        on = Counter(f for cr in diagnose(g).chords
+                     for f in cr.cycle.factor_sequence)
+        lone = min(on, key=lambda f: (on[f], f))
+        r = np.random.default_rng(seed)
+        factors = [FactorDecl(f.id, f.scope, f.table + 0.2 * (f.id == lone))
+                   for f in g.factors]
+        factors += [FactorDecl(len(factors) + v.id, (v.id,),
+                               r.uniform(0.5, 2.0, 3)) for v in g.variables]
+        g = FactorGraph("sum_product", g.variables, tuple(factors))
+        res = hatcc_infer(g)
+        assert sorted((c.cut, c.rank_one) for c in res.chords) == \
+            [(False, True)] + [(True, False)] * (len(res.chords) - 1)
+        truth = exact_marginals(g)
+        assert res.status == "ok"
+        assert abs(res.Z - truth.Z) <= 1e-10 * truth.Z
+        assert mean_tv(res.marginals, truth.marginals) < 1e-10
+        for semiring in ("max_product", "min_sum"):
+            h = in_semiring(g, semiring)
+            res = hatcc_infer(h)
+            Z, marg = enumerate_semiring(h)
+            assert res.status == "ok"
+            assert abs(res.Z - Z) <= 1e-10 * max(1.0, abs(Z))
+            for got, want in zip(res.marginals, marg):
+                np.testing.assert_allclose(got, want, rtol=1e-10,
+                                           atol=1e-10)
+
+
+def grid_transfer(graph: FactorGraph, rows: int, cols: int):
+    """Z and marginals of a binary grid MRF by a row transfer matrix.
+
+    Variable r * cols + c sits at row r and column c.  Each row state is
+    a pattern of ``cols`` bits; unary and in-row factors weigh a row
+    state, and column factors weigh a pair of adjacent row states.  The
+    forward and backward sweeps are rescaled, with the scale kept as a
+    log.
+    """
+    states = np.arange(2 ** cols)
+    bits = (states[:, None] >> np.arange(cols)) & 1  # bits[s, c]
+    within = [np.ones(len(states)) for _ in range(rows)]
+    between = [np.ones((len(states), len(states))) for _ in range(rows - 1)]
+    for f in graph.factors:
+        t = graph.factor_nd(f)
+        cells = [divmod(v, cols) for v in f.scope]
+        if len(cells) == 1:
+            (r, c), = cells
+            within[r] *= t[bits[:, c]]
+            continue
+        (r1, c1), (r2, c2) = cells
+        if r1 == r2:
+            assert abs(c1 - c2) == 1
+            within[r1] *= t[bits[:, c1], bits[:, c2]]
+        else:
+            assert c1 == c2 and abs(r1 - r2) == 1
+            lo, hi = (bits[:, c1][:, None], bits[:, c2][None, :]) \
+                if r1 < r2 else (bits[:, c1][None, :], bits[:, c2][:, None])
+            between[min(r1, r2)] *= t[lo, hi]
+    alpha, log_z = [within[0] / within[0].sum()], np.log(within[0].sum())
+    for r in range(1, rows):
+        a = (alpha[-1] @ between[r - 1]) * within[r]
+        log_z += np.log(a.sum())
+        alpha.append(a / a.sum())
+    beta = [np.ones(len(states))]
+    for r in range(rows - 2, -1, -1):
+        b = between[r] @ (within[r + 1] * beta[0])
+        beta.insert(0, b / b.sum())
+    marg = []
+    for r in range(rows):
+        p = alpha[r] * beta[r]
+        p /= p.sum()
+        for c in range(cols):
+            one = p[bits[:, c] == 1].sum()
+            marg.append(np.array([1.0 - one, one]))
+    return float(np.exp(log_z)), marg
+
+
+@pytest.mark.parametrize("side", range(4, 11))
+def test_grids_exact_against_transfer_matrix(side):
+    coupling = 2.0 if side % 2 == 0 else 0.7
+    g = gen_grid_mrf(side, side, coupling, 0.5, side)
+    res = hatcc_infer(g)
+    Z, marg = grid_transfer(g, side, side)
+    assert res.status == "ok"
+    assert abs(res.Z - Z) <= 1e-10 * Z
+    assert max(0.5 * np.abs(a - b).sum()
+               for a, b in zip(res.marginals, marg)) < 1e-10
+    assert_junction_tree(res.compiled)
+
+
+def test_grid_makes_no_composition(monkeypatch):
+    composed = count_calls(monkeypatch, holonomy, "compose")
+    kernels = count_calls(monkeypatch, holonomy, "transport_kernel")
+    res = hatcc_infer(gen_grid_mrf(6, 6, 0.7, 0.5, 1))
+    assert res.status == "ok"
+    assert composed == kernels == []
+    assert len(res.chords) == 25
+    assert all(r.rank_one and not r.cut for r in res.chords)
+
+
+class TestStatuses:
+    @staticmethod
+    def ring(table, n=4):
+        """A ring of n binary pairwise factors, all with ``table``."""
+        return FactorGraph(
+            "sum_product", tuple(VariableDecl(i, 2) for i in range(n)),
+            tuple(FactorDecl(i, (i, (i + 1) % n), table) for i in range(n)))
+
+    def test_clique_over_cap(self):
+        res = hatcc_infer(gen_grid_mrf(5, 5, 2.0, 0.3, 0), cap=16)
+        assert res.status == "cap_exceeded"
+        assert res.max_clique_entries > 16
+        assert "clique" in res.reason
+        assert math.isnan(res.Z)
+        out = result_to_json_dict(res)
+        assert out["Z"] is None and out["reason"] == res.reason
+        assert hatcc_infer(gen_grid_mrf(5, 5, 2.0, 0.3, 0)).status == "ok"
+
+    def test_interface_over_cap(self):
+        res = hatcc_infer(gen_four_cycle("odd"), cap=1)
+        assert res.status == "cap_exceeded"
+        assert "interface" in res.reason
+
+    def test_tolerance_cut_of_a_non_identity_holonomy_is_approximate(self):
+        leaky_copy = [1.0, 0.01, 0.01, 1.0]
+        g = self.ring(leaky_copy)
+        exact = hatcc_infer(g)
+        assert exact.status == "ok"
+        assert [r.rank_one for r in exact.chords] == [True]
+        res = hatcc_infer(g, tol=0.1)
+        assert res.status == "approximate"
+        assert [r.cut for r in res.chords] == [True]
+        assert str(res.chords[0].chord) in res.reason
+        # a cut the exact holonomy agrees with stays "ok"
+        assert hatcc_infer(gen_four_cycle("even"), tol=0.1).status == "ok"
+
+    def test_tolerance_never_certifies_unsat_alone(self):
+        # within tol the ring is a frustrated swap; exactly it is
+        # satisfiable, so the chord is kept and solved exactly
+        g = self.ring([1.0, 1.0, 1.0, 1.0], n=3)
+        g = FactorGraph("sum_product", g.variables, g.factors[:2] + (
+            FactorDecl(2, (2, 0), [0.01, 1.0, 1.0, 0.01]),))
+        res = hatcc_infer(g, tol=0.1)
+        truth = exact_marginals(g)
+        assert not res.report.chords[0].trivial
+        assert res.status == "ok"
+        assert abs(res.Z - truth.Z) <= 1e-12 * truth.Z
+
+
+def test_chord_records_in_the_json():
+    res = hatcc_infer(gen_grid_mrf(3, 3, 2.0, 0.3, 0))
+    out = result_to_json_dict(res)
+    assert out["max_clique_entries"] == res.max_clique_entries == 16
+    assert "reason" not in out
+    assert out["chords"] == [
+        {"chord": list(cr.cycle.chord.key), "cut": False,
+         "interface_states": 2, "cycle_length": len(cr.cycle.factor_sequence),
+         "rank_one": True} for cr in res.report.chords]
+    assert len(out["chords"]) == 4
+    even = hatcc_infer(gen_four_cycle("even"))
+    assert [(r.cut, r.rank_one, r.interface_states, r.cycle_length)
+            for r in even.chords] == [(True, False, 2, 4)]
+
+
+def naive_min_fill(n, scopes):
+    """Greedy min-fill recomputing every count at every step; ties to
+    the smaller degree, then the smaller id."""
+    adj = {v: set() for v in range(n)}
+    for s in scopes:
+        for v in s:
+            adj[v] |= set(s) - {v}
+    order = []
+    while adj:
+        def key(v):
+            nb = sorted(adj[v])
+            fill = sum(b not in adj[a] for i, a in enumerate(nb)
+                       for b in nb[i + 1:])
+            return fill, len(nb), v
+        v = min(adj, key=key)
+        nb = adj.pop(v)
+        for a in nb:
+            adj[a] |= nb - {a}
+            adj[a].discard(v)
+        order.append((v, tuple(sorted(nb))))
+    return order
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(0, n - 1), unique=True,
+                                  max_size=3), max_size=14))))
+@settings(max_examples=300, deadline=None)
+def test_min_fill_order_matches_naive_greedy(case):
+    n, scopes = case
+    assert min_fill_order(n, scopes) == naive_min_fill(n, scopes)

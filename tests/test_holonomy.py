@@ -1,12 +1,20 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hatcc.factor_graph import (SEMIRINGS, FactorDecl, FactorGraph,
                                 PotentialSlice, VariableDecl, restrict)
-from hatcc.generators import gen_four_cycle
-from hatcc.holonomy import (HolonomyMatrix, InterfaceCapExceeded, compose,
-                            diagnose, holonomy_matrix, is_trivial,
-                            mode_quotient, structural_checksum,
+from hatcc.generators import gen_four_cycle, gen_grid_mrf
+from helpers import count_calls
+from hatcc import holonomy
+from hatcc.holonomy import (SMALL_PRODUCT, HolonomyMatrix,
+                            InterfaceCapExceeded, compose, diagnose,
+                            holonomy_matrix, is_trivial, mode_quotient,
+                            report_to_json_dict, structural_checksum,
                             transport_kernel)
 from hatcc.nerve import NerveEdge, backbone, build_factor_nerve, \
     fundamental_cycle
@@ -80,11 +88,69 @@ class TestTransportKernel:
         np.testing.assert_array_equal(tol.matrix, np.eye(2, dtype=bool))
 
 
+@st.composite
+def kernel_cases(draw):
+    """A factor over up to four variables of cardinality 1-3, with some
+    zero entries, and a source and target drawn from its scope: they may
+    share variables, leave some out, or be empty."""
+    cards = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    scope = tuple(draw(st.permutations(range(len(cards)))))
+    size = math.prod(cards)
+    table = np.array(draw(st.lists(st.sampled_from((0.0, 0.04, 0.5, 1.0)),
+                                   min_size=size, max_size=size)))
+    part = st.lists(st.sampled_from(scope), unique=True, max_size=len(scope))
+    return (cards, scope, table, tuple(draw(part)), tuple(draw(part)),
+            draw(st.sampled_from((0.0, 0.05))))
+
+
+def brute_kernel(cards, scope, table, source, target, tol):
+    """Entry (x, y) is 1 iff some full configuration agreeing with x on
+    the source and y on the target has weight above tol."""
+    nd = table.reshape([cards[v] for v in scope])
+    kernel = np.zeros((math.prod(cards[v] for v in source),
+                       math.prod(cards[v] for v in target)), dtype=bool)
+    for config in itertools.product(*(range(cards[v]) for v in scope)):
+        if nd[config] <= tol:
+            continue
+        state = dict(zip(scope, config))
+        x = np.ravel_multi_index([state[v] for v in source],
+                                 [cards[v] for v in source]) if source else 0
+        y = np.ravel_multi_index([state[v] for v in target],
+                                 [cards[v] for v in target]) if target else 0
+        kernel[x, y] = True
+    return kernel
+
+
+@given(kernel_cases())
+@settings(max_examples=300, deadline=None)
+@example(([2, 3], (0, 1), np.arange(6.0), (0,), (0, 1), 0.0))  # shared
+@example(([2, 3, 2], (2, 0, 1), np.ones(12), (1,), (), 0.05))  # empty target
+@example(([2, 2], (1, 0), np.eye(2).ravel(), (), (), 0.0))  # both empty
+def test_transport_kernel_matches_enumeration(case):
+    cards, scope, table, source, target, tol = case
+    g = FactorGraph("sum_product",
+                    tuple(VariableDecl(i, c) for i, c in enumerate(cards)),
+                    (FactorDecl(0, scope, table),))
+    k = transport_kernel(g, 0, source, target, tol)
+    assert (k.source_scope, k.target_scope) == (source, target)
+    np.testing.assert_array_equal(
+        k.matrix, brute_kernel(cards, scope, table, source, target, tol))
+
+
 class TestCompose:
     def test_exact_past_255_paths(self):
         # 256 paths from the one source state to the one target state
         out = compose(np.ones((1, 256), bool), np.ones((256, 1), bool))
         np.testing.assert_array_equal(out, [[True]])
+
+    def test_small_and_large_products_agree(self):
+        # Boolean matmul below SMALL_PRODUCT multiply-adds, BLAS above
+        r = np.random.default_rng(0)
+        for n in (2, 7, 16, 40):
+            a, b = r.random((n, n)) < 0.2, r.random((n, n)) < 0.2
+            want = (a.astype(int) @ b.astype(int)) > 0
+            assert (n ** 3 <= SMALL_PRODUCT) == (n <= 16)
+            np.testing.assert_array_equal(compose(a, b), want)
 
 
 def _chord_cycle(graph):
@@ -189,6 +255,57 @@ class TestTriviality:
 
     def test_upper_triangular_not_trivial(self):
         assert not is_trivial(_h([[1, 1], [0, 1]]))
+
+
+class TestRankOne:
+    def test_full_support_factor_decides_without_composition(
+            self, monkeypatch):
+        calls = count_calls(monkeypatch, holonomy, "holonomy_matrix")
+        rep = diagnose(gen_grid_mrf(3, 3, 0.7, 0.5, 0))
+        assert [cr.rank_one for cr in rep.chords] == [True] * 4
+        assert [cr.trivial for cr in rep.chords] == [False] * 4
+        assert calls == []
+        # the matrix, built on first read, agrees: rank 1 and all ones
+        for cr in rep.chords:
+            assert cr.holonomy.matrix.all() and not is_trivial(cr.holonomy)
+        assert len(calls) == 4
+
+    def test_rule_needs_disjoint_interfaces_and_two_states(self):
+        # hard copy constraints: no factor has full support
+        rep = diagnose(gen_four_cycle("even"))
+        assert not rep.chords[0].rank_one and rep.chords[0].trivial
+        # a single-state interface: the holonomy is 1x1 and may be I
+        variables = (VariableDecl(0, 1),) + tuple(
+            VariableDecl(i, 2) for i in range(1, 3))
+        scopes = ((0, 1), (1, 2), (2, 0))
+        g = FactorGraph("sum_product", variables, tuple(
+            FactorDecl(j, s, np.ones(math.prod(variables[v].cardinality
+                                               for v in s)))
+            for j, s in enumerate(scopes)))
+        rep = diagnose(g)
+        assert [cr.rank_one for cr in rep.chords] == [False]
+        assert rep.chords[0].trivial
+        # a tolerance can remove full support
+        table = [1.0, 0.01, 0.01, 1.0]
+        g = FactorGraph("sum_product",
+                        tuple(VariableDecl(i, 2) for i in range(4)),
+                        tuple(FactorDecl(i, (i, (i + 1) % 4), table)
+                              for i in range(4)))
+        assert diagnose(g).chords[0].rank_one
+        assert not diagnose(g, tol=0.1).chords[0].rank_one
+        assert diagnose(g, tol=0.1).chords[0].trivial
+
+    def test_report_reads_as_when_composed_eagerly(self):
+        rep = diagnose(gen_grid_mrf(3, 3, 2.0, 0.3, 0))
+        d = report_to_json_dict(rep)
+        for cr, row in zip(rep.chords, d["chords"]):
+            H = holonomy_matrix(gen_grid_mrf(3, 3, 2.0, 0.3, 0), cr.cycle)
+            assert row["trivial"] == is_trivial(H) is False
+            assert row["matrix_rows"] == ["".join("1" if x else "0"
+                                                  for x in r)
+                                          for r in H.matrix]
+            assert row["mode_sizes"] == [len(m) for m in
+                                         mode_quotient(H).modes]
 
 
 class TestReport:

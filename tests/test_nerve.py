@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import (all_pairs_nerve, random_graph, random_nerve_tree,
-                     random_pairwise_tree)
+from helpers import (all_pairs_nerve, assert_junction_tree, random_graph,
+                     random_nerve_tree, random_pairwise_tree,
+                     running_intersection_violations)
 from hatcc import nerve as nerve_module
 from hatcc.compile import UnsatCertificate, augment
 from hatcc.factor_graph import FactorDecl, FactorGraph, VariableDecl
@@ -250,14 +251,20 @@ class TestSparseNerve:
             == (rows - 1) * (cols - 1)
 
     def test_no_chords_iff_running_intersection(self):
+        # the backbone is a junction tree of the model exactly when the
+        # nerve has no chord; the compiled model always is one
         seen = set()
         for g in sample_graphs():
             rep = diagnose(g)
+            backbone_ok = not running_intersection_violations(
+                [f.scope for f in g.factors],
+                [(e.f1, e.f2) for e in rep.backbone.tree_edges])
+            no_chords = not rep.backbone.chords
+            assert no_chords == backbone_ok
+            seen.add(no_chords)
             compiled = augment(g, rep)
             assert not isinstance(compiled, UnsatCertificate)
-            no_chords = not rep.backbone.chords
-            assert no_chords == compiled.running_intersection_ok
-            seen.add(no_chords)
+            assert_junction_tree(compiled)
         assert seen == {True, False}
 
 

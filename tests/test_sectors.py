@@ -210,3 +210,18 @@ def test_report_counts_nontrivial_generators():
     assert rep["n_nontrivial_generators"] == 1
     assert rep["orbit_sizes"] == [2]
     assert rep["weights"] == pytest.approx(list(res.weights))
+
+
+def test_orbits_keep_bp_work():
+    # uncorrupted Z2 5-cycle: two orbits, each a loopy clamped model
+    inst = gen_zk_sync("cycle", 2, 0.1, 0.0, 0, n=5)
+    capped = sector_infer(inst.graph, tol=0.05, max_iters=1)
+    assert capped.iterations == (1, 1)
+    assert capped.converged == (False, False)
+    rep = sector_report_json(capped)
+    assert rep["iterations"] == [1, 1]
+    assert rep["oscillating"] == [False, False]
+    # an exact tree run does not iterate
+    tree = sector_infer(chain(), mode="decomposition")
+    assert tree.iterations == (0,) * len(tree.decomposition.orbits)
+    assert tree.oscillating == (False,) * len(tree.decomposition.orbits)
