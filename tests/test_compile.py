@@ -25,6 +25,40 @@ from hatcc.metrics import mean_tv
 from hatcc.oracle import exact_map, exact_marginals
 
 
+class TestBuildSelector:
+    """A chord's selector is its holonomy's mode structure: the identity
+    holonomy selects each interface state on its own and is cut, a
+    holonomy with no fixed point selects nothing and certifies unsat."""
+
+    def test_odd_cycle_unsat_certificate(self):
+        g = gen_four_cycle("odd")
+        rep = diagnose(g)
+        cr = rep.chords[0]
+        assert not cr.quotient.fixed_point_mask.any()
+        out = augment(g, rep)
+        assert isinstance(out, UnsatCertificate)
+        assert out.chord == cr.cycle.chord.key
+        res = hatcc_infer(g)
+        assert res.status == "unsat"
+        assert res.unsat_chord == cr.cycle.chord.key
+
+    def test_even_cycle_diagonal_selector(self):
+        g = gen_four_cycle("even")
+        rep = diagnose(g)
+        cr = rep.chords[0]
+        np.testing.assert_array_equal(cr.holonomy.matrix, np.eye(2))
+        assert cr.quotient.modes == ((0,), (1,))
+        assert cr.quotient.fixed_point_mask.all()
+        assert cr.trivial
+        compiled = augment(g, rep)
+        assert compiled.cut == (cr.cycle.chord.key,)
+        res = hatcc_infer(g)
+        assert res.status == "ok"
+        truth = exact_marginals(g)
+        assert res.Z == pytest.approx(truth.Z, rel=1e-12)
+        assert mean_tv(res.marginals, truth.marginals) < 1e-12
+
+
 class TestAugment:
     def test_tree_nerve_unchanged(self):
         g = random_nerve_tree(3)
