@@ -32,7 +32,8 @@ import numpy as np
 from .factor_graph import (FactorDecl, FactorGraph, PotentialSlice, Semiring,
                            VariableDecl, restrict, validate_strict)
 from .holonomy import (DEFAULT_INTERFACE_CAP, HolonomyReport,
-                       InterfaceCapExceeded, diagnose, report_to_json_dict)
+                       InterfaceCapExceeded, diagnose, holonomy_matrix,
+                       is_identity, report_to_json_dict)
 from .trees import UnionFind, calibrate, expand
 
 
@@ -248,18 +249,24 @@ def augment(graph: FactorGraph, report: HolonomyReport,
     """
     # a tolerance only drops support, so the exact holonomies decide
     # whether a cut is exact and whether a missing fixed point is UNSAT
-    exact = diagnose(graph, cap=cap).chords if report.tol > 0 \
-        else report.chords
-    for cr, ex in zip(report.chords, exact):
+    kernels: dict = {}
+
+    def exact(cr) -> np.ndarray:
+        if report.tol == 0:
+            return cr.holonomy.matrix
+        return holonomy_matrix(graph, cr.cycle, 0.0, cap,
+                               _kernels=kernels).matrix
+
+    for cr in report.chords:
         if not (cr.trivial or cr.rank_one) \
-                and not np.diagonal(cr.holonomy.matrix).any() \
-                and not np.diagonal(ex.holonomy.matrix).any():
+                and not np.diagonal(exact(cr)).any():
             return UnsatCertificate(cr.cycle.chord.key,
                                     "no interface state is fixed by the "
                                     "chord holonomy")
     cut = tuple(cr.cycle.chord.key for cr in report.chords if cr.trivial)
-    inexact = tuple(cr.cycle.chord.key for cr, ex in zip(report.chords, exact)
-                    if cr.trivial and not ex.trivial)
+    inexact = tuple(cr.cycle.chord.key for cr in report.chords
+                    if cr.trivial and report.tol > 0
+                    and not is_identity(exact(cr)))
 
     split, copy_var = split_scopes(graph, report)
     scopes, edges, roots, home, holder = elimination_tree(
@@ -354,7 +361,7 @@ class HatccResult:
     status: str  # "ok" | "unsat" | "approximate" | "cap_exceeded"
     Z: float
     marginals: tuple[np.ndarray, ...]
-    report: Optional[HolonomyReport]
+    report: Optional[HolonomyReport]  # None: an interface is over cap
     timings: dict
     chords: tuple[ChordRecord, ...] = ()
     max_clique_entries: int = 0
@@ -403,7 +410,8 @@ def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
         compiled = augment(graph, report, cap)
     except InterfaceCapExceeded as exc:
         timings["augment"] = time.perf_counter() - t0
-        return HatccResult("cap_exceeded", math.nan, placeholder(), report,
+        # the report's holonomies cannot be built, so it is not returned
+        return HatccResult("cap_exceeded", math.nan, placeholder(), None,
                            timings, reason=str(exc))
     records = _chord_records(graph, report)
     timings["augment"] = time.perf_counter() - t0

@@ -25,7 +25,6 @@ from .nerve import build_factor_nerve, backbone as build_backbone
 from .nerve import fundamental_cycle
 
 DEFAULT_INTERFACE_CAP = 2 ** 16
-SMALL_PRODUCT = 2 ** 12  # multiply-adds below which Boolean matmul is faster
 
 
 class InterfaceCapExceeded(RuntimeError):
@@ -96,13 +95,9 @@ def transport_kernel(graph: FactorGraph, factor_id: int,
 def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Boolean matrix product.
 
-    A small product runs numpy's Boolean matmul, an OR of ANDs.  A large
-    one runs a float BLAS product, which counts the paths; a sum of
-    non-negative terms is 0 only when every term is, so ``> 0`` is exact
-    for any path count.
+    A float BLAS product counts the paths; a sum of non-negative terms is
+    0 only when every term is, so ``> 0`` is exact for any path count.
     """
-    if a.shape[0] * a.shape[1] * b.shape[1] <= SMALL_PRODUCT:
-        return a @ b
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
@@ -136,7 +131,8 @@ def holonomy_matrix(graph: FactorGraph, cycle: FundamentalCycle,
     carries chord-interface states into the path through the chord's far
     endpoint, then each path factor carries them one interface further,
     and the last kernel returns through the chord's near endpoint.
-    ``_kernels`` is ``diagnose``'s memo for ``loop_transport``.
+    ``_kernels`` is a ``loop_transport`` memo shared by the cycles of one
+    graph and ``tol``, as in ``diagnose``.
     """
     interfaces = cycle.interface_sequence
     for J in interfaces:

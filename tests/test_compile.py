@@ -699,6 +699,10 @@ class TestStatuses:
         res = hatcc_infer(gen_four_cycle("odd"), cap=1)
         assert res.status == "cap_exceeded"
         assert "interface" in res.reason
+        assert res.report is None
+        out = result_to_json_dict(res)
+        assert out["status"] == "cap_exceeded" and out["Z"] is None
+        assert out["reason"] == res.reason and "holonomy" not in out
 
     def test_tolerance_cut_of_a_non_identity_holonomy_is_approximate(self):
         leaky_copy = [1.0, 0.01, 0.01, 1.0]
