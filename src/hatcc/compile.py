@@ -32,8 +32,8 @@ import numpy as np
 from .factor_graph import (FactorDecl, FactorGraph, PotentialSlice, Semiring,
                            VariableDecl, restrict, validate_strict)
 from .holonomy import (DEFAULT_INTERFACE_CAP, HolonomyReport,
-                       InterfaceCapExceeded, diagnose, holonomy_matrix,
-                       is_identity, report_to_json_dict)
+                       InterfaceCapExceeded, diagnose, loop_holonomies,
+                       report_to_json_dict)
 from .trees import UnionFind, calibrate, expand
 
 
@@ -247,26 +247,25 @@ def augment(graph: FactorGraph, report: HolonomyReport,
     ``tol > 0`` may cut a chord whose exact holonomy is not the identity;
     those cuts are listed in ``inexact_cuts``.
     """
+    report.compose_holonomies()
     # a tolerance only drops support, so the exact holonomies decide
     # whether a cut is exact and whether a missing fixed point is UNSAT
-    kernels: dict = {}
-
-    def exact(cr) -> np.ndarray:
-        if report.tol == 0:
-            return cr.holonomy.matrix
-        return holonomy_matrix(graph, cr.cycle, 0.0, cap,
-                               _kernels=kernels).matrix
-
-    for cr in report.chords:
-        if not (cr.trivial or cr.rank_one) \
-                and not np.diagonal(exact(cr)).any():
+    open_ = [cr for cr in report.chords if not cr.rank_one]
+    if report.tol == 0:
+        identity = [cr.trivial for cr in open_]
+        fixed = [cr.fixed for cr in open_]
+    else:
+        _m, identity, fixed = loop_holonomies(
+            graph, [(cr.cycle.factor_sequence, cr.cycle.interface_sequence)
+                    for cr in open_], 0.0, cap)
+    for cr, fix in zip(open_, fixed):
+        if not cr.trivial and not fix:
             return UnsatCertificate(cr.cycle.chord.key,
                                     "no interface state is fixed by the "
                                     "chord holonomy")
     cut = tuple(cr.cycle.chord.key for cr in report.chords if cr.trivial)
-    inexact = tuple(cr.cycle.chord.key for cr in report.chords
-                    if cr.trivial and report.tol > 0
-                    and not is_identity(exact(cr)))
+    inexact = tuple(cr.cycle.chord.key for cr, ident in zip(open_, identity)
+                    if cr.trivial and not ident)
 
     split, copy_var = split_scopes(graph, report)
     scopes, edges, roots, home, holder = elimination_tree(
@@ -379,17 +378,18 @@ def _chord_records(graph: FactorGraph,
 
 
 def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
-                cap: int = 2 ** 16) -> HatccResult:
+                cap: int = DEFAULT_INTERFACE_CAP) -> HatccResult:
     """Run the full compile-and-solve pipeline.
 
-    Phases: validate; diagnose (nerve, backbone, cycles); augment (the
-    cut decisions, which compose the holonomies the rank-1 rule leaves
-    open, the split model and its junction tree); propagate; marginalize.
-    Every graph takes this one path; a forest is the case with no chord.
-    The status is "unsat" on a certificate or a zero Z, "cap_exceeded"
-    when an interface or a clique is over ``cap``, and "approximate"
-    when ``tol > 0`` cut a chord whose exact holonomy is not the
-    identity.
+    Phases: validate; diagnose (nerve, backbone, cycles); holonomy (one
+    stacked composition of the holonomies the rank-1 rule leaves open);
+    augment (the cut decisions, the split model and its junction tree);
+    propagate; marginalize.  Every graph takes this one path; a forest is
+    the case with no chord.  The status is "unsat" on a certificate or a
+    zero Z, with the normalized semiring ones as every marginal;
+    "cap_exceeded" when an interface or a clique is over ``cap``; and
+    "approximate" when ``tol > 0`` cut a chord whose exact holonomy is
+    not the identity.
     """
     sr = graph.ops
     timings: dict[str, float] = {}
@@ -407,12 +407,16 @@ def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
 
     t0 = time.perf_counter()
     try:
-        compiled = augment(graph, report, cap)
+        report.compose_holonomies()
     except InterfaceCapExceeded as exc:
-        timings["augment"] = time.perf_counter() - t0
+        timings["holonomy"] = time.perf_counter() - t0
         # the report's holonomies cannot be built, so it is not returned
         return HatccResult("cap_exceeded", math.nan, placeholder(), None,
                            timings, reason=str(exc))
+    timings["holonomy"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    compiled = augment(graph, report, cap)
     records = _chord_records(graph, report)
     timings["augment"] = time.perf_counter() - t0
     if isinstance(compiled, UnsatCertificate):
@@ -436,7 +440,7 @@ def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
                                               None)))
 
     t0 = time.perf_counter()
-    marg = marginalize_modes(compiled, ct)
+    marg = placeholder() if ct.unsat else marginalize_modes(compiled, ct)
     timings["marginalize"] = time.perf_counter() - t0
 
     status, reason = "ok", None

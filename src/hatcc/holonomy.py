@@ -1,18 +1,20 @@
 """Transport kernels, cycle holonomy matrices, and mode quotients.
 
 A transport kernel is the Boolean support relation a factor induces
-between two interface state spaces; ``loop_transport`` composes kernels
-around a closed loop of factors.  A chord's fundamental cycle gives its
-holonomy matrix, and ``sectors`` walks its base generators the same
-way.  A holonomy matrix's strongly connected components are the modes,
-read off the relation's reflexive-transitive closure.
+between two interface state spaces.  ``loop_holonomies`` composes kernels
+around closed loops of factors in one stacked pass: one
+``transport_kernel`` call builds every kernel, and the loops that share a
+sequence of interface sizes are composed together as 3-D stacks.  A
+chord's fundamental cycle gives its holonomy matrix, and ``sectors``
+builds its base generators the same way.  A holonomy matrix's strongly
+connected components are the modes, read off the relation's
+reflexive-transitive closure.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-import string
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
@@ -32,13 +34,6 @@ class InterfaceCapExceeded(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TransportKernel:
-    source_scope: tuple[int, ...]
-    target_scope: tuple[int, ...]
-    matrix: np.ndarray  # bool, |Omega(source)| x |Omega(target)|
-
-
-@dataclass(frozen=True)
 class HolonomyMatrix:
     chord: NerveEdge
     interface: tuple[int, ...]
@@ -52,48 +47,54 @@ class ModeQuotient:
     fixed_point_mask: np.ndarray  # bool, H(x, x) = 1
 
 
-def transport_kernel(graph: FactorGraph, factor_id: int,
-                     source: Sequence[int], target: Sequence[int],
-                     tol: float = 0.0) -> TransportKernel:
-    """Boolean support relation of a factor between two sub-scopes.
+def transport_kernel(graph: FactorGraph, requests: Sequence[tuple[
+        int, Sequence[int], Sequence[int]]],
+                     tol: float = 0.0) -> list[np.ndarray]:
+    """Boolean support relations of factors between sub-scopes.
 
-    Entry (x, y) is 1 iff some full scope configuration extending both
-    has nonzero potential; pairs that disagree on shared variables are
-    never supported.  ``tol`` widens what counts as zero.
+    Request (f, source, target) gives the |Omega(source)| x
+    |Omega(target)| matrix whose entry (x, y) is 1 iff some configuration
+    of f's scope extending both has nonzero potential; pairs that
+    disagree on shared variables are never supported.  ``tol`` widens
+    what counts as zero.
 
-    The support is any-reduced over the scope variables outside source
-    and target, then written through a diagonal ``einsum`` view of the
-    source-by-target array, which ties a variable in both to one axis.
+    Requests with one table shape and the same source and target axes
+    are built together on their stacked tables: one support test, one
+    any-reduce over the other axes, and one write through a diagonal
+    ``einsum`` view of the stacked source-by-target arrays, which ties a
+    variable in both to one axis.
     """
-    f = graph.factors[factor_id]
-    for name, part in (("source", source), ("target", target)):
-        if not set(part) <= set(f.scope):
-            raise ValueError(f"{name} scope {tuple(part)} not within "
-                             f"factor {factor_id} scope {f.scope}")
-    source = tuple(source)
-    target = tuple(target)
-    supported = ~graph.ops.is_zero(graph.factor_nd(f), tol)
-    union = set(source) | set(target)
-    drop = tuple(i for i, v in enumerate(f.scope) if v not in union)
-    if drop:
-        supported = supported.any(axis=drop)
-    src_shape = graph.scope_shape(source)
-    tgt_shape = graph.scope_shape(target)
-    kernel = np.zeros(src_shape + tgt_shape, dtype=bool)
-    if union:
-        letter = dict(zip(union, string.ascii_letters))
-        kept = "".join(letter[v] for v in f.scope if v in union)
-        view = np.einsum("".join(letter[v] for v in source + target)
-                         + "->" + kept, kernel)
-        view[...] = supported
-    else:
-        kernel[...] = supported.any()
-    return TransportKernel(source, target, kernel.reshape(
-        math.prod(src_shape), math.prod(tgt_shape)))
+    groups: dict = {}
+    for i, (fid, source, target) in enumerate(requests):
+        scope = graph.factors[fid].scope
+        if not {*source, *target} <= set(scope):
+            raise ValueError(f"source {tuple(source)} or target "
+                             f"{tuple(target)} not within factor {fid} "
+                             f"scope {scope}")
+        groups.setdefault((graph.scope_shape(scope),
+                           tuple(map(scope.index, source)),
+                           tuple(map(scope.index, target))), []).append(i)
+    out: list = [None] * len(requests)
+    for (shape, source, target), members in groups.items():
+        tables = np.stack([graph.factors[requests[i][0]].table
+                           for i in members]).reshape(-1, *shape)
+        kept = sorted({*source, *target})
+        supported = (~graph.ops.is_zero(tables, tol)).any(axis=tuple(
+            1 + a for a in range(len(shape)) if a not in kept))
+        # einsum axis 0 is the stack, axis 1 + a the scope's axis a
+        kernel = np.zeros((len(members), *(shape[a] for a in source),
+                           *(shape[a] for a in target)), dtype=bool)
+        np.einsum(kernel, [0, *(1 + a for a in source + target)],
+                  [0, *(1 + a for a in kept)])[...] = supported
+        kernel = kernel.reshape(
+            len(members), math.prod(shape[a] for a in source), -1)
+        for i, k in zip(members, kernel):
+            out[i] = k
+    return out
 
 
 def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean matrix product.
+    """Boolean matrix product, of two matrices or two stacks of them.
 
     A float BLAS product counts the paths; a sum of non-negative terms is
     0 only when every term is, so ``> 0`` is exact for any path count.
@@ -101,49 +102,74 @@ def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
-def loop_transport(graph: FactorGraph, factors: Sequence[int],
-                   interfaces: Sequence[tuple[int, ...]], tol: float,
-                   kernels: dict) -> np.ndarray:
-    """Compose transport kernels around a closed loop of factors.
+def loop_holonomies(graph: FactorGraph, loops: Sequence[tuple[
+        Sequence[int], Sequence[tuple[int, ...]]]], tol: float = 0.0,
+                    cap: int = DEFAULT_INTERFACE_CAP) -> tuple[
+                        list[np.ndarray], np.ndarray, np.ndarray]:
+    """Compose transport kernels around closed loops of factors in one
+    stacked pass.
 
-    ``factors[i]`` carries ``interfaces[i - 1]`` to ``interfaces[i]``, so
-    the loop starts and ends at ``interfaces[-1]``.  ``kernels`` memoizes
-    the kernel matrices built so far for this graph and ``tol``, keyed by
-    (factor, source, target), and is shared by every loop of one caller.
+    A loop is (factors, interfaces): ``factors[i]`` carries
+    ``interfaces[i - 1]`` to ``interfaces[i]``, so the loop starts and
+    ends at ``interfaces[-1]``.  One ``transport_kernel`` call builds
+    every kernel the loops pass through, and the kernels of each shape
+    are stacked once.  Loops with one sequence of interface sizes are
+    composed together, one ``compose`` per step on 3-D stacks, with no
+    padding.  Returns each loop's matrix and, per loop, whether it is the
+    identity and whether it fixes a state.  An interface over ``cap``
+    states raises ``InterfaceCapExceeded`` before anything is built.
     """
-    H = None
-    for fid, source, target in zip(factors, [interfaces[-1], *interfaces],
-                                   interfaces):
-        key = (fid, source, target)
-        if key not in kernels:
-            kernels[key] = transport_kernel(graph, fid, source, target,
-                                            tol).matrix
-        H = kernels[key] if H is None else compose(H, kernels[key])
-    return H
+    size = dict.fromkeys(J for _f, interfaces in loops for J in interfaces)
+    for J in size:
+        size[J] = math.prod(graph.scope_shape(J))
+        if size[J] > cap:
+            raise InterfaceCapExceeded(
+                f"interface {J} has {size[J]} states, exceeding the cap "
+                f"{cap}; refusing to build the holonomy matrix")
+    steps, groups = [], {}
+    for i, (factors, interfaces) in enumerate(loops):
+        around = (interfaces[-1], *interfaces)
+        steps.append(list(zip(factors, around, interfaces)))
+        groups.setdefault(tuple(map(size.get, around)), []).append(i)
+    row = dict.fromkeys(key for s in steps for key in s)
+    kernels = dict(zip(row, transport_kernel(graph, list(row), tol))
+                   if row else ())
+    by_shape: dict = {}
+    for key in row:  # each kernel's row in the stack of its shape
+        same = by_shape.setdefault(kernels[key].shape, [])
+        row[key] = len(same)
+        same.append(kernels[key])
+    stacks = {shape: np.stack(same) for shape, same in by_shape.items()}
+    matrices: list = [None] * len(loops)
+    identity, fixed = np.zeros((2, len(loops)), dtype=bool)
+    for sizes, members in groups.items():
+        rows = np.array([[row[key] for key in steps[i]] for i in members])
+        H = stacks[sizes[:2]][rows[:, 0]]
+        for t, shape in enumerate(zip(sizes[1:], sizes[2:]), 1):
+            H = compose(H, stacks[shape][rows[:, t]])
+        diagonal = H.diagonal(axis1=1, axis2=2)
+        identity[members] = diagonal.all(axis=1) & (
+            np.count_nonzero(H, axis=(1, 2)) == sizes[0])
+        fixed[members] = diagonal.any(axis=1)
+        for i, m in zip(members, H):
+            matrices[i] = m
+    return matrices, identity, fixed
 
 
 def holonomy_matrix(graph: FactorGraph, cycle: FundamentalCycle,
-                    tol: float = 0.0, cap: int = DEFAULT_INTERFACE_CAP, *,
-                    _kernels: Optional[dict] = None) -> HolonomyMatrix:
+                    tol: float = 0.0,
+                    cap: int = DEFAULT_INTERFACE_CAP) -> HolonomyMatrix:
     """Compose transport kernels around a fundamental cycle.
 
     The loop starts and ends at the chord interface: the first kernel
     carries chord-interface states into the path through the chord's far
     endpoint, then each path factor carries them one interface further,
     and the last kernel returns through the chord's near endpoint.
-    ``_kernels`` is a ``loop_transport`` memo shared by the cycles of one
-    graph and ``tol``, as in ``diagnose``.
     """
-    interfaces = cycle.interface_sequence
-    for J in interfaces:
-        size = math.prod(graph.scope_shape(J))
-        if size > cap:
-            raise InterfaceCapExceeded(
-                f"interface {J} has {size} states, exceeding the cap "
-                f"{cap}; refusing to build the holonomy matrix")
-    H = loop_transport(graph, cycle.factor_sequence, interfaces, tol,
-                       {} if _kernels is None else _kernels)
-    return HolonomyMatrix(cycle.chord, interfaces[-1], H)
+    matrices, _identity, _fixed = loop_holonomies(
+        graph, [(cycle.factor_sequence, cycle.interface_sequence)], tol, cap)
+    return HolonomyMatrix(cycle.chord, cycle.interface_sequence[-1],
+                          matrices[0])
 
 
 def reachability_classes(relation: np.ndarray) -> tuple[
@@ -193,7 +219,8 @@ def is_trivial(H: HolonomyMatrix) -> bool:
 @dataclass(frozen=True)
 class ChordReport:
     """A chord's cycle; its holonomy and mode quotient are built on first
-    use.
+    use, or for many chords at once by
+    ``HolonomyReport.compose_holonomies``.
 
     ``rank_one`` marks a chord decided without composition: some factor
     on the cycle has full support and carries disjoint source and target
@@ -219,6 +246,11 @@ class ChordReport:
     def trivial(self) -> bool:
         return not self.rank_one and is_trivial(self.holonomy)
 
+    @cached_property
+    def fixed(self) -> bool:
+        """True iff the holonomy fixes some interface state."""
+        return bool(np.diagonal(self.holonomy.matrix).any())
+
 
 @dataclass(frozen=True)
 class HolonomyReport:
@@ -226,6 +258,29 @@ class HolonomyReport:
     backbone: Backbone
     chords: tuple[ChordReport, ...]
     tol: float  # support tolerance of the holonomies
+    # loop_holonomies on the report's graph, with its tol and cap
+    build: Callable[..., tuple] = field(repr=False, compare=False)
+
+    def compose_holonomies(self, chords: Optional[Sequence[ChordReport]]
+                           = None) -> None:
+        """Compose the holonomies of ``chords`` not built yet, by default
+        those the rank-1 rule leaves open, in one stacked pass.  Each
+        chord caches its matrix, whether it is the identity and whether
+        it fixes a state, read off the stacks."""
+        if chords is None:
+            chords = [cr for cr in self.chords if not cr.rank_one]
+        todo = [cr for cr in chords if "holonomy" not in vars(cr)]
+        if not todo:
+            return
+        matrices, identity, fixed = self.build(
+            [(cr.cycle.factor_sequence, cr.cycle.interface_sequence)
+             for cr in todo])
+        for cr, m, ident, fix in zip(todo, matrices, identity, fixed):
+            # seed each cached_property with the value it would compute
+            vars(cr).update(
+                holonomy=HolonomyMatrix(cr.cycle.chord,
+                                        cr.cycle.interface_sequence[-1], m),
+                trivial=not cr.rank_one and bool(ident), fixed=bool(fix))
 
 
 def _full_support(graph: FactorGraph, tol: float = 0.0) -> np.ndarray:
@@ -257,26 +312,25 @@ def diagnose(graph: FactorGraph, tol: float = 0.0,
     """Nerve, backbone, and per-chord cycles; holonomy and modes on
     demand.
 
-    Each chord's holonomy is composed when first read, not here, so a
-    chord the rank-1 rule decides never pays for it.  Each transport
-    kernel is built once and shared by every chord whose cycle passes
-    through it.
+    Each chord's holonomy is composed when first read or by
+    ``HolonomyReport.compose_holonomies``, not here, so a chord the
+    rank-1 rule decides never pays for it.
     """
     nerve = build_factor_nerve(graph)
     bb = build_backbone(nerve)
     full = _full_support(graph, tol) if bb.chords else None
-    kernels: dict = {}
     chords = []
     for chord in bb.chords:
         cycle = fundamental_cycle(graph, bb, chord)
         chords.append(ChordReport(
             cycle, _is_rank_one(graph, cycle, full),
-            partial(holonomy_matrix, graph, cycle, tol, cap,
-                    _kernels=kernels)))
-    return HolonomyReport(nerve, bb, tuple(chords), tol)
+            partial(holonomy_matrix, graph, cycle, tol, cap)))
+    return HolonomyReport(nerve, bb, tuple(chords), tol,
+                          partial(loop_holonomies, graph, tol=tol, cap=cap))
 
 
 def report_to_json_dict(report: HolonomyReport) -> dict:
+    report.compose_holonomies(report.chords)
     chords = []
     for cr in report.chords:
         rows = ["".join("1" if x else "0" for x in row)

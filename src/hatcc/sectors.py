@@ -17,7 +17,7 @@ from . import bp_engine
 from .factor_graph import FactorDecl, FactorGraph, validate_strict
 # compose and transport_kernel are no longer called here, but
 # perfbench/tracer.py wraps them under this module's name
-from .holonomy import (compose, is_identity, loop_transport,  # noqa: F401
+from .holonomy import (compose, is_identity, loop_holonomies,  # noqa: F401
                        reachability_classes, transport_kernel)
 from .trees import spanning_tree, tree_path
 
@@ -97,10 +97,11 @@ def base_generators(graph: FactorGraph, base: Optional[int] = None,
                                                list[np.ndarray]]:
     """One holonomy generator per off-tree edge, rebased at the base.
 
-    Generator = ``loop_transport`` around the loop base->i along the tree,
-    across the off-tree factor i->j, then j->base along the tree; the
-    tree paths run through the lowest common ancestor.  Every loop shares
-    one kernel memo.  The base defaults as in ``variable_tree``.
+    Generator = the holonomy of the loop base->i along the tree, across
+    the off-tree factor i->j, then j->base along the tree; the tree paths
+    run through the lowest common ancestor.  ``loop_holonomies`` composes
+    every loop in one stacked pass.  The base defaults as in
+    ``variable_tree``.
     """
     validate_strict(graph)
     tree = variable_tree(graph, base)
@@ -113,15 +114,13 @@ def base_generators(graph: FactorGraph, base: Optional[int] = None,
         return [tree.parent[a][1] if up(a) == b else tree.parent[b][1]
                 for a, b in zip(path, path[1:])]
 
-    kernels: dict = {}
-    gens = []
+    loops = []
     for fid in tree.offtree_factors:
         i, j = graph.factors[fid].scope
         out, back = tree_path(up, tree.base, i), tree_path(up, j, tree.base)
-        gens.append(loop_transport(
-            graph, tree_factors(out) + [fid] + tree_factors(back),
-            [(v,) for v in out[1:] + back], tol, kernels))
-    return tree, gens
+        loops.append((tree_factors(out) + [fid] + tree_factors(back),
+                      [(v,) for v in out[1:] + back]))
+    return tree, loop_holonomies(graph, loops, tol)[0]
 
 
 def orbit_partition(generators,

@@ -74,6 +74,14 @@ class TestInfer:
         assert payload["max_clique_entries"] == 4
         assert "reason" not in payload
 
+    def test_hatcc_times_the_holonomy_phase(self, even_cycle, capsys):
+        code, out, _ = run(capsys, "infer", even_cycle, "--method", "hatcc")
+        assert code == 0
+        timings = json.loads(out)["timings_ms"]
+        assert set(timings) == {"validate", "diagnose", "holonomy",
+                                "augment", "propagate", "marginalize"}
+        assert all(t >= 0 for t in timings.values())
+
     def test_unsat_is_result_not_error(self, tmp_path, capsys):
         path = str(tmp_path / "odd.json")
         run(capsys, "gen", "four-cycle", "--parity", "odd", "-o", path)

@@ -302,6 +302,10 @@ class TestHatccInfer:
                 statuses.add((semiring, res.status))
                 assert res.status == status, (semiring, seed)
                 np.testing.assert_allclose(res.Z, Z, rtol=1e-12)
+                if status == "unsat":
+                    # the placeholder, not run_tree_exact's zero beliefs
+                    bel = [g.ops.normalize(np.full(len(b), g.ops.one))
+                           for b in bel]
                 for a, b in zip(res.marginals, bel):
                     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
         assert ("boolean", "unsat") in statuses
@@ -345,6 +349,27 @@ class TestHatccInfer:
         want = sr.normalize(np.full(2, sr.one))
         for m in res.marginals:
             np.testing.assert_array_equal(m, want)
+
+    @pytest.mark.parametrize("semiring", sorted(SEMIRINGS))
+    def test_calibrated_unsat_marginals_are_normalized_ones(self, semiring):
+        # an UNSAT 3-CNF on three variables has a chordless nerve; a path
+        # of full-support factors from variable 0 to 1 closes one cycle,
+        # which the rank-1 rule keeps, so calibration finds the zero Z
+        sr = SEMIRINGS[semiring]
+        cnf = random_cnf(0, 3, 40, semiring)
+        m = len(cnf.factors)
+        g = FactorGraph(semiring, cnf.variables + (
+            VariableDecl(3, 2), VariableDecl(4, 2)), cnf.factors + tuple(
+            FactorDecl(m + i, s, np.full(4, sr.one))
+            for i, s in enumerate(((0, 3), (3, 4), (4, 1)))))
+        assert exact_marginals(random_cnf(0, 3, 40, "sum_product")).unsat
+        res = hatcc_infer(g)
+        assert [(r.rank_one, r.cut) for r in res.chords] == [(True, False)]
+        assert res.status == "unsat" and res.unsat_chord is None
+        assert sr.is_zero(res.Z)
+        want = sr.normalize(np.full(2, sr.one))
+        for marg in res.marginals:
+            np.testing.assert_array_equal(marg, want)
 
     def test_even_cycle_matches_oracle(self):
         res = hatcc_infer(gen_four_cycle("even"))
@@ -422,8 +447,8 @@ class TestHatccInfer:
 
     def test_phase_timings_present(self):
         res = hatcc_infer(gen_four_cycle("even"))
-        for key in ("validate", "diagnose", "augment", "propagate",
-                    "marginalize"):
+        for key in ("validate", "diagnose", "holonomy", "augment",
+                    "propagate", "marginalize"):
             assert key in res.timings
 
 
@@ -675,6 +700,18 @@ def test_grid_makes_no_composition(monkeypatch):
     assert composed == kernels == []
     assert len(res.chords) == 25
     assert all(r.rank_one and not r.cut for r in res.chords)
+
+
+def test_permutation_graph_builds_kernels_in_one_call(monkeypatch):
+    composed = count_calls(monkeypatch, holonomy, "compose")
+    kernels = count_calls(monkeypatch, holonomy, "transport_kernel")
+    g = gen_permutation_graph("random", 3, 0.0, 0, consistent=True, n=60,
+                              p=2 / 59).graph
+    res = hatcc_infer(g)
+    assert res.status == "ok"
+    assert len(kernels) == 1
+    assert 0 < len(composed) < len(res.chords)
+    assert all(r.cut and not r.rank_one for r in res.chords)
 
 
 class TestStatuses:

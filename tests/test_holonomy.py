@@ -12,8 +12,8 @@ from hatcc.generators import gen_four_cycle, gen_grid_mrf
 from helpers import count_calls
 from hatcc import holonomy
 from hatcc.holonomy import (HolonomyMatrix, InterfaceCapExceeded,
-                            compose, diagnose,
-                            holonomy_matrix, is_trivial, mode_quotient,
+                            compose, diagnose, holonomy_matrix, is_trivial,
+                            loop_holonomies, mode_quotient,
                             report_to_json_dict, structural_checksum,
                             transport_kernel)
 from hatcc.nerve import NerveEdge, backbone, build_factor_nerve, \
@@ -29,38 +29,37 @@ class TestTransportKernel:
     def test_copy_factor_identity(self):
         g = gen_four_cycle("even")
         # factor 3 couples D and A with a copy constraint
-        k = transport_kernel(g, 3, (0,), (3,))
-        np.testing.assert_array_equal(k.matrix, np.eye(2, dtype=bool))
+        k, = transport_kernel(g, [(3, (0,), (3,))])
+        np.testing.assert_array_equal(k, np.eye(2, dtype=bool))
 
     def test_not_factor_antidiagonal(self):
         g = gen_four_cycle("odd")
         # factor 2 couples C and D with a NOT constraint
-        k = transport_kernel(g, 2, (3,), (2,))
-        np.testing.assert_array_equal(k.matrix,
-                                      [[False, True], [True, False]])
+        k, = transport_kernel(g, [(2, (3,), (2,))])
+        np.testing.assert_array_equal(k, [[False, True], [True, False]])
 
     def test_all_zero_potential_empty_kernel(self):
         g = FactorGraph("sum_product",
                         (VariableDecl(0, 2), VariableDecl(1, 2)),
                         (FactorDecl(0, (0, 1), [0.0] * 4),))
-        k = transport_kernel(g, 0, (0,), (1,))
-        assert not k.matrix.any()
+        k, = transport_kernel(g, [(0, (0,), (1,))])
+        assert not k.any()
 
     def test_overlapping_interfaces_require_agreement(self):
         g = FactorGraph("sum_product",
                         (VariableDecl(0, 2), VariableDecl(1, 2)),
                         (FactorDecl(0, (0, 1), [1.0] * 4),))
-        k = transport_kernel(g, 0, (0,), (0, 1))
+        k, = transport_kernel(g, [(0, (0,), (0, 1))])
         # source state x supports only target states agreeing on var 0
         for x in range(2):
             for y in range(4):
                 y0 = y // 2
-                assert k.matrix[x, y] == (x == y0)
+                assert k[x, y] == (x == y0)
 
     def test_scope_violation_rejected(self):
         g = gen_four_cycle("even")
         with pytest.raises(ValueError):
-            transport_kernel(g, 0, (2,), (0,))
+            transport_kernel(g, [(0, (2,), (0,))])
 
     def test_matches_restriction_support(self):
         r = np.random.default_rng(0)
@@ -72,20 +71,20 @@ class TestTransportKernel:
                             (VariableDecl(0, 2), VariableDecl(1, 3),
                              VariableDecl(2, 2)),
                             (FactorDecl(0, (0, 1, 2), table.ravel()),))
-            k = transport_kernel(g, 0, (0,), (2,))
+            k, = transport_kernel(g, [(0, (0,), (2,))])
             marg = restrict(PotentialSlice((0, 1, 2), table), (0, 2),
                             SEMIRINGS["sum_product"])
-            np.testing.assert_array_equal(k.matrix, marg.table > 0)
+            np.testing.assert_array_equal(k, marg.table > 0)
 
     def test_tolerance_drops_small_entries(self):
         table = np.array([[1.0, 0.05], [0.05, 1.0]])
         g = FactorGraph("sum_product",
                         (VariableDecl(0, 2), VariableDecl(1, 2)),
                         (FactorDecl(0, (0, 1), table.ravel()),))
-        exact = transport_kernel(g, 0, (0,), (1,))
-        assert exact.matrix.all()
-        tol = transport_kernel(g, 0, (0,), (1,), tol=0.1)
-        np.testing.assert_array_equal(tol.matrix, np.eye(2, dtype=bool))
+        exact, = transport_kernel(g, [(0, (0,), (1,))])
+        assert exact.all()
+        tol, = transport_kernel(g, [(0, (0,), (1,))], tol=0.1)
+        np.testing.assert_array_equal(tol, np.eye(2, dtype=bool))
 
 
 @st.composite
@@ -131,10 +130,71 @@ def test_transport_kernel_matches_enumeration(case):
     g = FactorGraph("sum_product",
                     tuple(VariableDecl(i, c) for i, c in enumerate(cards)),
                     (FactorDecl(0, scope, table),))
-    k = transport_kernel(g, 0, source, target, tol)
-    assert (k.source_scope, k.target_scope) == (source, target)
+    # the request and its reverse, built in one call
+    k, back = transport_kernel(g, [(0, source, target), (0, target, source)],
+                               tol)
+    assert k.shape == (math.prod(cards[v] for v in source),
+                       math.prod(cards[v] for v in target))
     np.testing.assert_array_equal(
-        k.matrix, brute_kernel(cards, scope, table, source, target, tol))
+        k, brute_kernel(cards, scope, table, source, target, tol))
+    np.testing.assert_array_equal(back, k.T)
+
+
+@st.composite
+def loop_cases(draw):
+    """A factor graph on four variables of cardinality 1-3 with some zero
+    entries, and closed loops of its factors.  Each interface is a subset
+    (maybe empty) of the scopes of the two factors it joins, so a factor
+    may carry shared variables and drop others; mixed cardinalities give
+    one call several sequences of interface sizes."""
+    cards = draw(st.lists(st.integers(1, 3), min_size=4, max_size=4))
+    scopes = draw(st.lists(st.lists(st.integers(0, 3), min_size=1,
+                                    max_size=3, unique=True),
+                           min_size=2, max_size=5))
+    tables = [np.array(draw(st.lists(
+        st.sampled_from((0.0, 0.04, 0.5, 1.0)), min_size=n, max_size=n)))
+        for n in (math.prod(cards[v] for v in s) for s in scopes)]
+    loops = []
+    for _ in range(draw(st.integers(1, 6))):
+        factors = draw(st.lists(st.integers(0, len(scopes) - 1),
+                                min_size=1, max_size=5))
+        interfaces = [tuple(draw(st.lists(st.sampled_from(sorted(
+            set(scopes[f]) & set(scopes[g]))), unique=True)))
+            if set(scopes[f]) & set(scopes[g]) else ()
+            for f, g in zip(factors, factors[1:] + factors[:1])]
+        loops.append((factors, interfaces))
+    return (cards, [tuple(s) for s in scopes], tables, loops,
+            draw(st.sampled_from((0.0, 0.05))),
+            draw(st.sampled_from((1, 4, 2 ** 16))))
+
+
+@given(loop_cases())
+@settings(max_examples=200, deadline=None)
+def test_loop_holonomies_match_an_integer_fold(case):
+    cards, scopes, tables, loops, tol, cap = case
+    g = FactorGraph("sum_product",
+                    tuple(VariableDecl(i, c) for i, c in enumerate(cards)),
+                    tuple(FactorDecl(i, s, t)
+                          for i, (s, t) in enumerate(zip(scopes, tables))))
+    if max(math.prod(cards[v] for v in J)
+           for _f, interfaces in loops for J in interfaces) > cap:
+        with pytest.raises(InterfaceCapExceeded):
+            loop_holonomies(g, loops, tol, cap)
+        return
+    matrices, identity, fixed = loop_holonomies(g, loops, tol, cap)
+    assert len(matrices) == len(identity) == len(fixed) == len(loops)
+    for (factors, interfaces), H, ident, fix in zip(loops, matrices,
+                                                    identity, fixed):
+        # the loop folded one enumerated kernel at a time, in integers
+        want = None
+        for f, source, target in zip(factors, [interfaces[-1], *interfaces],
+                                     interfaces):
+            k = brute_kernel(cards, scopes[f], tables[f], source, target,
+                             tol).astype(np.int64)
+            want = k if want is None else np.minimum(want @ k, 1)
+        np.testing.assert_array_equal(H, want.astype(bool))
+        assert ident == np.array_equal(want, np.eye(len(want), dtype=int))
+        assert fix == np.diagonal(want).any()
 
 
 class TestCompose:
@@ -182,13 +242,9 @@ class TestHolonomyMatrix:
     def test_composition_association_invariance(self):
         g = gen_four_cycle("odd")
         cyc = _chord_cycle(g)
-        kernels = [transport_kernel(g, cyc.factor_sequence[0],
-                                    cyc.interface_sequence[-1],
-                                    cyc.interface_sequence[0]).matrix]
-        for i in range(1, len(cyc.factor_sequence)):
-            kernels.append(transport_kernel(
-                g, cyc.factor_sequence[i], cyc.interface_sequence[i - 1],
-                cyc.interface_sequence[i]).matrix)
+        interfaces = cyc.interface_sequence
+        kernels = transport_kernel(g, list(zip(
+            cyc.factor_sequence, [interfaces[-1], *interfaces], interfaces)))
         left = kernels[0]
         for k in kernels[1:]:
             left = compose(left, k)

@@ -26,7 +26,7 @@ def edge_walk_generators(graph, tree, tol):
         return None if tree.parent[v] is None else tree.parent[v][0]
 
     def step(fid, a, b):
-        return transport_kernel(graph, fid, (a,), (b,), tol).matrix
+        return transport_kernel(graph, [(fid, (a,), (b,))], tol)[0]
 
     def path(src, dst):
         nodes = tree_path(up, src, dst)
