@@ -282,12 +282,11 @@ OSCILLATION_DEVIATION = 1e-8
 
 
 def _detect_oscillation(trace: Sequence[float], threshold: float) -> bool:
-    """Periodic residual trace at or above threshold over the last window."""
+    """Periodic residual trace over the last window of an unconverged
+    run, whose last residual is therefore not below ``threshold``."""
     if len(trace) < OSCILLATION_WINDOW:
         return False
     window = np.asarray(trace[-OSCILLATION_WINDOW:])
-    if window[-1] < threshold:
-        return False
     for p in OSCILLATION_PERIODS:
         dev = np.abs(window[p:] - window[:-p]).max()
         if dev < OSCILLATION_DEVIATION:

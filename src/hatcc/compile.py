@@ -1,8 +1,9 @@
 """Holonomy-aware compilation to an exact junction tree.
 
-Pipeline: ``diagnose`` finds the chords of the factor nerve and their
-holonomies; ``augment`` cuts every chord whose holonomy is the identity
-and keeps the rest.  It splits each variable into one copy per connected
+Pipeline: ``diagnose`` finds the chords of the factor nerve and decides
+each, composing in one pass the holonomies the rank-1 rule leaves open;
+``augment`` cuts every chord whose holonomy is the identity and keeps
+the rest.  It splits each variable into one copy per connected
 component of its holders, joined by backbone tree edges and kept chords
 (the *split model*), and builds a min-fill elimination junction tree
 over the copies (Lauritzen & Spiegelhalter 1988; Koller & Friedman 2009,
@@ -247,13 +248,12 @@ def augment(graph: FactorGraph, report: HolonomyReport,
     ``tol > 0`` may cut a chord whose exact holonomy is not the identity;
     those cuts are listed in ``inexact_cuts``.
     """
-    report.compose_holonomies()
     # a tolerance only drops support, so the exact holonomies decide
     # whether a cut is exact and whether a missing fixed point is UNSAT
     open_ = [cr for cr in report.chords if not cr.rank_one]
     if report.tol == 0:
         identity = [cr.trivial for cr in open_]
-        fixed = [cr.fixed for cr in open_]
+        fixed = [cr.trivial or cr.fixed for cr in open_]  # I fixes all
     else:
         _m, identity, fixed = loop_holonomies(
             graph, [(cr.cycle.factor_sequence, cr.cycle.interface_sequence)
@@ -381,15 +381,15 @@ def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
                 cap: int = DEFAULT_INTERFACE_CAP) -> HatccResult:
     """Run the full compile-and-solve pipeline.
 
-    Phases: validate; diagnose (nerve, backbone, cycles); holonomy (one
-    stacked composition of the holonomies the rank-1 rule leaves open);
-    augment (the cut decisions, the split model and its junction tree);
-    propagate; marginalize.  Every graph takes this one path; a forest is
-    the case with no chord.  The status is "unsat" on a certificate or a
-    zero Z, with the normalized semiring ones as every marginal;
-    "cap_exceeded" when an interface or a clique is over ``cap``; and
-    "approximate" when ``tol > 0`` cut a chord whose exact holonomy is
-    not the identity.
+    Phases: validate; diagnose's nerve, backbone, cycles (with the rank-1
+    flags) and holonomy (one stacked composition of the holonomies the
+    rank-1 rule leaves open); augment (the cut decisions, the split model
+    and its junction tree); propagate; marginalize.  Every graph takes
+    this one path; a forest is the case with no chord.  The status is
+    "unsat" on a certificate or a zero Z, with the normalized semiring
+    ones as every marginal; "cap_exceeded" when an interface or a clique
+    is over ``cap``; and "approximate" when ``tol > 0`` cut a chord whose
+    exact holonomy is not the identity.
     """
     sr = graph.ops
     timings: dict[str, float] = {}
@@ -397,23 +397,19 @@ def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
     validate_strict(graph)
     timings["validate"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    report = diagnose(graph, tol=tol, cap=cap)
-    timings["diagnose"] = time.perf_counter() - t0
-
     def placeholder():
         return tuple(sr.normalize(np.full(v.cardinality, sr.one))
                      for v in graph.variables)
 
     t0 = time.perf_counter()
     try:
-        report.compose_holonomies()
+        report = diagnose(graph, tol=tol, cap=cap)
     except InterfaceCapExceeded as exc:
+        # no report, so no phase times: the attempt counts as holonomy
         timings["holonomy"] = time.perf_counter() - t0
-        # the report's holonomies cannot be built, so it is not returned
         return HatccResult("cap_exceeded", math.nan, placeholder(), None,
                            timings, reason=str(exc))
-    timings["holonomy"] = time.perf_counter() - t0
+    timings.update(report.timings)
 
     t0 = time.perf_counter()
     compiled = augment(graph, report, cap)

@@ -15,9 +15,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import time
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -218,9 +219,7 @@ def is_trivial(H: HolonomyMatrix) -> bool:
 
 @dataclass(frozen=True)
 class ChordReport:
-    """A chord's cycle; its holonomy and mode quotient are built on first
-    use, or for many chords at once by
-    ``HolonomyReport.compose_holonomies``.
+    """A chord's cycle and holonomy, and whether that is the identity.
 
     ``rank_one`` marks a chord decided without composition: some factor
     on the cycle has full support and carries disjoint source and target
@@ -228,25 +227,25 @@ class ChordReport:
     Boolean matrix (every true entry pairs a state of one fixed row set
     with one of a fixed column set).  On an interface of two or more
     states such a matrix is never the identity, so the chord is not
-    trivial.
+    trivial.  ``diagnose`` composes every other chord's holonomy; the
+    rank-1 chords' are composed together the first time one is read.
     """
     cycle: FundamentalCycle
     rank_one: bool
-    build: Callable[[], HolonomyMatrix] = field(repr=False, compare=False)
+    trivial: bool  # the holonomy is the identity
+    matrix: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
     @cached_property
     def holonomy(self) -> HolonomyMatrix:
-        return self.build()
+        return HolonomyMatrix(self.cycle.chord,
+                              self.cycle.interface_sequence[-1],
+                              self.matrix())
 
     @cached_property
     def quotient(self) -> ModeQuotient:
         return mode_quotient(self.holonomy)
 
-    @cached_property
-    def trivial(self) -> bool:
-        return not self.rank_one and is_trivial(self.holonomy)
-
-    @cached_property
+    @property
     def fixed(self) -> bool:
         """True iff the holonomy fixes some interface state."""
         return bool(np.diagonal(self.holonomy.matrix).any())
@@ -258,35 +257,13 @@ class HolonomyReport:
     backbone: Backbone
     chords: tuple[ChordReport, ...]
     tol: float  # support tolerance of the holonomies
-    # loop_holonomies on the report's graph, with its tol and cap
-    build: Callable[..., tuple] = field(repr=False, compare=False)
-
-    def compose_holonomies(self, chords: Optional[Sequence[ChordReport]]
-                           = None) -> None:
-        """Compose the holonomies of ``chords`` not built yet, by default
-        those the rank-1 rule leaves open, in one stacked pass.  Each
-        chord caches its matrix, whether it is the identity and whether
-        it fixes a state, read off the stacks."""
-        if chords is None:
-            chords = [cr for cr in self.chords if not cr.rank_one]
-        todo = [cr for cr in chords if "holonomy" not in vars(cr)]
-        if not todo:
-            return
-        matrices, identity, fixed = self.build(
-            [(cr.cycle.factor_sequence, cr.cycle.interface_sequence)
-             for cr in todo])
-        for cr, m, ident, fix in zip(todo, matrices, identity, fixed):
-            # seed each cached_property with the value it would compute
-            vars(cr).update(
-                holonomy=HolonomyMatrix(cr.cycle.chord,
-                                        cr.cycle.interface_sequence[-1], m),
-                trivial=not cr.rank_one and bool(ident), fixed=bool(fix))
+    # seconds per phase of diagnose: nerve, backbone, cycles, holonomy
+    timings: dict = field(compare=False)
 
 
 def _full_support(graph: FactorGraph, tol: float = 0.0) -> np.ndarray:
-    """Per factor: True iff no table entry counts as zero under ``tol``."""
-    if not graph.factors:
-        return np.zeros(0, dtype=bool)
+    """Per factor: True iff no table entry counts as zero under ``tol``.
+    The graph must have a factor."""
     tables = [f.table for f in graph.factors]
     starts = np.cumsum([0] + [t.size for t in tables[:-1]])
     zero = graph.ops.is_zero(np.concatenate(tables), tol)
@@ -309,28 +286,51 @@ def _is_rank_one(graph: FactorGraph, cycle: FundamentalCycle,
 
 def diagnose(graph: FactorGraph, tol: float = 0.0,
              cap: int = DEFAULT_INTERFACE_CAP) -> HolonomyReport:
-    """Nerve, backbone, and per-chord cycles; holonomy and modes on
-    demand.
+    """Nerve, backbone, per-chord cycles and rank-1 flags, and the
+    holonomies of the chords the rank-1 rule leaves open, composed in one
+    ``loop_holonomies`` pass that decides ``trivial``.
 
-    Each chord's holonomy is composed when first read or by
-    ``HolonomyReport.compose_holonomies``, not here, so a chord the
-    rank-1 rule decides never pays for it.
+    An interface of more than ``cap`` states among them raises
+    ``InterfaceCapExceeded``.  The rank-1 chords' holonomies are composed
+    in one more pass the first time any of them is read.
     """
+    stamps = [time.perf_counter()]
     nerve = build_factor_nerve(graph)
+    stamps.append(time.perf_counter())
     bb = build_backbone(nerve)
-    full = _full_support(graph, tol) if bb.chords else None
-    chords = []
-    for chord in bb.chords:
-        cycle = fundamental_cycle(graph, bb, chord)
-        chords.append(ChordReport(
-            cycle, _is_rank_one(graph, cycle, full),
-            partial(holonomy_matrix, graph, cycle, tol, cap)))
-    return HolonomyReport(nerve, bb, tuple(chords), tol,
-                          partial(loop_holonomies, graph, tol=tol, cap=cap))
+    stamps.append(time.perf_counter())
+    cycles = [fundamental_cycle(graph, bb, chord) for chord in bb.chords]
+    # a chord implies a factor, which _full_support needs
+    full = _full_support(graph, tol) if cycles else None
+    rank_one = [_is_rank_one(graph, c, full) for c in cycles]
+    stamps.append(time.perf_counter())
+    matrices: dict[int, np.ndarray] = {}
+
+    def compose_chords(ids: list[int]) -> np.ndarray:
+        built, identity, _fixed = loop_holonomies(
+            graph, [(cycles[i].factor_sequence, cycles[i].interface_sequence)
+                    for i in ids], tol, cap)
+        matrices.update(zip(ids, built))
+        return identity
+
+    def matrix(i: int) -> np.ndarray:
+        if i not in matrices:  # a rank-1 chord's: compose them all
+            compose_chords([j for j, r in enumerate(rank_one) if r])
+        return matrices[i]
+
+    open_ = [i for i, r in enumerate(rank_one) if not r]
+    # an empty pass costs microseconds that a chordless solve would feel
+    trivial = dict(zip(open_, compose_chords(open_) if open_ else ()))
+    stamps.append(time.perf_counter())
+    chords = tuple(ChordReport(c, r, bool(trivial.get(i, False)),
+                               partial(matrix, i))
+                   for i, (c, r) in enumerate(zip(cycles, rank_one)))
+    return HolonomyReport(nerve, bb, chords, tol, dict(zip(
+        ("nerve", "backbone", "cycles", "holonomy"),
+        (b - a for a, b in zip(stamps, stamps[1:])))))
 
 
 def report_to_json_dict(report: HolonomyReport) -> dict:
-    report.compose_holonomies(report.chords)
     chords = []
     for cr in report.chords:
         rows = ["".join("1" if x else "0" for x in row)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hatcc import generators, metrics, oracle, sectors
+from hatcc import factor_graph, generators, metrics, oracle, sectors
 from hatcc.cli import main
 
 
@@ -36,6 +36,19 @@ class TestGen:
         truth = json.load(open(path + ".truth.json"))
         assert truth["family"] == "zk"
         assert len(truth["x_star"]) == 5
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["perm", "--n", "5", "--domain", "3", "--consistent"],
+         {"permutations"}),
+        (["grid", "--rows", "3", "--cols", "4", "--field", "0.5"],
+         {"rows", "cols", "coupling"})])
+    def test_perm_and_grid_families(self, argv, keys, tmp_path, capsys):
+        path = str(tmp_path / "inst.json")
+        code, _out, _err = run(capsys, "gen", *argv, "-o", path)
+        assert code == 0
+        assert factor_graph.validate(factor_graph.load(path)) == []
+        truth = json.load(open(path + ".truth.json"))
+        assert truth["family"] == argv[0] and keys <= set(truth)
 
     def test_invalid_parameter_exits_one(self, tmp_path, capsys):
         code, _out, err = run(capsys, "gen", "zk", "--eta", "0", "--n", "5",
@@ -78,8 +91,9 @@ class TestInfer:
         code, out, _ = run(capsys, "infer", even_cycle, "--method", "hatcc")
         assert code == 0
         timings = json.loads(out)["timings_ms"]
-        assert set(timings) == {"validate", "diagnose", "holonomy",
-                                "augment", "propagate", "marginalize"}
+        assert set(timings) == {"validate", "nerve", "backbone", "cycles",
+                                "holonomy", "augment", "propagate",
+                                "marginalize"}
         assert all(t >= 0 for t in timings.values())
 
     def test_unsat_is_result_not_error(self, tmp_path, capsys):
@@ -209,6 +223,12 @@ class TestSweep:
         for row in default:
             assert 1 < int(row["iterations"]) < 200
             assert row["oscillating"] == "0"
+
+    def test_unknown_method_exits_one(self, capsys):
+        code, _out, err = run(capsys, "sweep", "--n", "4", "--seeds", "1",
+                              "--eps", "0", "--methods", "bp,bogus")
+        assert code == 1
+        assert "unknown sweep method" in err
 
     def test_seed_option_rejected(self, capsys):
         with pytest.raises(SystemExit) as ei:

@@ -447,9 +447,9 @@ class TestHatccInfer:
 
     def test_phase_timings_present(self):
         res = hatcc_infer(gen_four_cycle("even"))
-        for key in ("validate", "diagnose", "holonomy", "augment",
-                    "propagate", "marginalize"):
-            assert key in res.timings
+        assert list(res.timings) == ["validate", "nerve", "backbone",
+                                     "cycles", "holonomy", "augment",
+                                     "propagate", "marginalize"]
 
 
 class TestDescentDatum:
@@ -700,6 +700,15 @@ def test_grid_makes_no_composition(monkeypatch):
     assert composed == kernels == []
     assert len(res.chords) == 25
     assert all(r.rank_one and not r.cut for r in res.chords)
+
+
+def test_json_builds_the_rank_one_holonomies_in_one_call(monkeypatch):
+    res = hatcc_infer(gen_grid_mrf(10, 10, 1.4, 0.5, 0))
+    assert all(r.rank_one for r in res.chords)
+    kernels = count_calls(monkeypatch, holonomy, "transport_kernel")
+    out = result_to_json_dict(res)
+    assert len(kernels) == 1
+    assert len(out["holonomy"]["chords"]) == len(res.chords) == 81
 
 
 def test_permutation_graph_builds_kernels_in_one_call(monkeypatch):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from hatcc.factor_graph import (SEMIRINGS, FactorDecl, FactorGraph,
                                 PotentialSlice, VariableDecl, restrict)
-from hatcc.generators import gen_four_cycle, gen_grid_mrf
+from hatcc.generators import (gen_four_cycle, gen_grid_mrf,
+                              gen_permutation_graph)
 from helpers import count_calls
 from hatcc import holonomy
 from hatcc.holonomy import (HolonomyMatrix, InterfaceCapExceeded,
@@ -314,15 +315,38 @@ class TestTriviality:
 class TestRankOne:
     def test_full_support_factor_decides_without_composition(
             self, monkeypatch):
-        calls = count_calls(monkeypatch, holonomy, "holonomy_matrix")
+        kernels = count_calls(monkeypatch, holonomy, "transport_kernel")
+        composed = count_calls(monkeypatch, holonomy, "compose")
         rep = diagnose(gen_grid_mrf(3, 3, 0.7, 0.5, 0))
         assert [cr.rank_one for cr in rep.chords] == [True] * 4
         assert [cr.trivial for cr in rep.chords] == [False] * 4
-        assert calls == []
-        # the matrix, built on first read, agrees: rank 1 and all ones
+        assert kernels == composed == []
+        # the matrices, built together on the first read, agree: rank 1
+        # and all ones
+        passes = count_calls(monkeypatch, holonomy, "loop_holonomies")
         for cr in rep.chords:
             assert cr.holonomy.matrix.all() and not is_trivial(cr.holonomy)
-        assert len(calls) == 4
+        assert len(passes) == 1
+
+    def test_diagnose_composes_the_open_chords_in_one_pass(self,
+                                                           monkeypatch):
+        # a consistent hard permutation grid, with one factor smoothed:
+        # the chords through it are rank-1, the others stay open
+        g = gen_permutation_graph("grid", 3, 0.0, 0, consistent=True,
+                                  rows=3, cols=3).graph
+        smooth = g.factors[0].id
+        g = FactorGraph("sum_product", g.variables, tuple(
+            FactorDecl(f.id, f.scope, f.table + 0.2 * (f.id == smooth))
+            for f in g.factors))
+        passes = count_calls(monkeypatch, holonomy, "loop_holonomies")
+        rep = diagnose(g)
+        flags = [cr.rank_one for cr in rep.chords]
+        assert any(flags) and not all(flags)
+        assert len(passes) == 1
+        assert all(cr.trivial for cr in rep.chords if not cr.rank_one)
+        assert not any(cr.trivial for cr in rep.chords if cr.rank_one)
+        assert set(rep.timings) == {"nerve", "backbone", "cycles",
+                                    "holonomy"}
 
     def test_rule_needs_disjoint_interfaces_and_two_states(self):
         # hard copy constraints: no factor has full support
