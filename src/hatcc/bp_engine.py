@@ -437,4 +437,5 @@ def run_tree_exact(graph: FactorGraph):
     bel, Z = calibrate(sr, scopes, tables, _incidence(graph))
     degenerate = [v.id for v in graph.variables
                   if np.all(sr.is_zero(bel[m + v.id]))]
-    return [sr.normalize(b) for b in bel[m:]], Z, degenerate
+    return [sr.normalize(bel[m + v.id]) for v in graph.variables], Z, \
+        degenerate

@@ -7,9 +7,13 @@ the rest.  It splits each variable into one copy per connected
 component of its holders, joined by backbone tree edges and kept chords
 (the *split model*), and builds a min-fill elimination junction tree
 over the copies (Lauritzen & Spiegelhalter 1988; Koller & Friedman 2009,
-ch. 9-10).  ``cluster_tree_propagate`` calibrates it with
+ch. 9-10), its clique tables in one stack per clique shape.
+``cluster_tree_propagate`` calibrates the stacks with
 ``trees.calibrate``, and ``marginalize_modes`` reads each marginal from
-any copy of its variable.
+any copy of its variable, one reduce per group of marginals read from
+one stack at one axis.  No per-cluster object is built on this path;
+``CompiledModel.graph`` and ``ClusterTreeResult.beliefs`` are built on
+first read.
 
 A cut is exact.  In any supported configuration of the split model the
 tree path carries the chord interface's state x2 at one endpoint to its
@@ -26,7 +30,8 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,7 +40,8 @@ from .factor_graph import (FactorDecl, FactorGraph, PotentialSlice, Semiring,
 from .holonomy import (DEFAULT_INTERFACE_CAP, HolonomyReport,
                        InterfaceCapExceeded, diagnose, loop_holonomies,
                        report_to_json_dict)
-from .trees import UnionFind, calibrate, expand
+from .trees import (TableStacks, UnionFind, calibrate, mul_rows, placement,
+                    row_index, to_parent)
 
 
 # ---------------------------------------------------------------------------
@@ -54,23 +60,35 @@ class CapExceeded:
     detail: str
 
 
-@dataclass(frozen=True)
-class ClusterEdge:
-    a: int  # cluster index
-    b: int
+class ClusterEdge(NamedTuple):
+    a: int  # parent cluster index
+    b: int  # child cluster index
     separator: tuple[int, ...]  # copy ids
 
 
 @dataclass(frozen=True)
 class CompiledModel:
     source: FactorGraph  # the model compiled
-    graph: FactorGraph  # variable copies; one clique factor per cluster
+    scopes: tuple[tuple[int, ...], ...]  # per cluster: copy ids
+    tables: TableStacks  # clique tables, stacked by shape
+    cards: tuple[int, ...]  # per copy
     var_copies: tuple[tuple[int, ...], ...]  # per original variable
     home: tuple[int, ...]  # per copy: a cluster holding it
     cluster_edges: tuple[ClusterEdge, ...]
     roots: tuple[int, ...]  # cluster indices, one per component
     cut: tuple[tuple[int, int], ...]  # keys of the chords cut
     inexact_cuts: tuple[tuple[int, int], ...]  # cut, yet exact H is not I
+
+    @cached_property
+    def graph(self) -> FactorGraph:
+        """The split model as a factor graph: the variable copies and one
+        clique factor per cluster.  Built on first read; the solver
+        works on the stacks."""
+        return FactorGraph(
+            self.source.semiring,
+            tuple(VariableDecl(i, c) for i, c in enumerate(self.cards)),
+            tuple(FactorDecl(i, s, t)
+                  for i, (s, t) in enumerate(zip(self.scopes, self.tables))))
 
 
 def split_scopes(graph: FactorGraph, report: HolonomyReport) -> tuple[
@@ -211,27 +229,29 @@ def elimination_tree(order: Sequence[tuple[int, tuple[int, ...]]],
             holder)
 
 
-def _clique_tables(graph: FactorGraph, split: Sequence[tuple[int, ...]],
-                   holder: Sequence[int], scopes: Sequence[tuple[int, ...]],
-                   cards: Sequence[int]) -> list[np.ndarray]:
-    """Each cluster's table: the semiring product of the factors it
-    holds, broadcast over its scope (semiring ones if it holds none)."""
+def _clique_stacks(graph: FactorGraph, split: Sequence[tuple[int, ...]],
+                  holder: Sequence[int], scopes: Sequence[tuple[int, ...]],
+                  shapes: Sequence[tuple[int, ...]]) -> TableStacks:
+    """Each cluster's table, stacked by shape: the semiring product of
+    the factors it holds, broadcast over its scope (semiring ones if it
+    holds none).  The factors that share a clique stack and a placement
+    in the clique's axes are multiplied in as one block."""
     sr = graph.ops
-    acc: list = [None] * len(scopes)
+    stacks = TableStacks.full(shapes, sr.one)
+    blocks: dict = {}
     for f, scope, c in zip(graph.factors, split, holder):
-        t = graph.factor_nd(f)
-        if scope != scopes[c]:
-            t = expand(t, scope, scopes[c])
-        acc[c] = t if acc[c] is None else sr.mul(acc[c], t)
-    out = []
-    for t, s in zip(acc, scopes):
-        shape = tuple(cards[v] for v in s)
-        if t is None:
-            t = np.full(shape, sr.one)
-        elif t.shape != shape:
-            t = np.broadcast_to(t, shape)
-        out.append(t)
-    return out
+        pos = tuple(map(scopes[c].index, scope))
+        tabs, rows = blocks.setdefault((stacks.stack[c], pos), ([], []))
+        tabs.append(f.table)
+        rows.append(stacks.row[c])
+    for (k, pos), (tabs, rows) in blocks.items():
+        dst = stacks.arrays[k]
+        # a factor is a child whose whole scope is its separator
+        at = placement(tuple(dst.shape[1 + p] for p in pos), dst.shape[1:],
+                       tuple(range(len(pos))), pos)
+        mul_rows(sr, dst, *row_index(rows),
+                 to_parent(np.concatenate(tabs).reshape(at.c_shape), at))
+    return stacks
 
 
 def augment(graph: FactorGraph, report: HolonomyReport,
@@ -240,13 +260,13 @@ def augment(graph: FactorGraph, report: HolonomyReport,
     """Compile the split model into a min-fill junction tree.
 
     Cuts each chord whose holonomy is the identity and keeps the rest.
-    Returns one clique factor per cluster and one tree per backbone
-    component, so the cluster edges number clusters minus components.  A
-    kept chord whose composed holonomy fixes no interface state gives an
-    ``UnsatCertificate``, and a clique of more than ``cap`` entries gives
-    ``CapExceeded`` before any table is built.  A report taken with
-    ``tol > 0`` may cut a chord whose exact holonomy is not the identity;
-    those cuts are listed in ``inexact_cuts``.
+    Returns one clique table per cluster, stacked by shape, and one tree
+    per backbone component, so the cluster edges number clusters minus
+    components.  A kept chord whose composed holonomy fixes no interface
+    state gives an ``UnsatCertificate``, and a clique of more than
+    ``cap`` entries gives ``CapExceeded`` before any table is built.  A
+    report taken with ``tol > 0`` may cut a chord whose exact holonomy is
+    not the identity; those cuts are listed in ``inexact_cuts``.
     """
     # a tolerance only drops support, so the exact holonomies decide
     # whether a cut is exact and whether a missing fixed point is UNSAT
@@ -270,26 +290,22 @@ def augment(graph: FactorGraph, report: HolonomyReport,
     split, copy_var = split_scopes(graph, report)
     scopes, edges, roots, home, holder = elimination_tree(
         min_fill_order(len(copy_var), split), split)
-    cards = [graph.cardinality(v) for v in copy_var]
-    entries = max((math.prod(cards[v] for v in s) for s in scopes),
-                  default=1)
+    cards = graph.scope_shape(copy_var)
+    shapes = [tuple(map(cards.__getitem__, s)) for s in scopes]
+    entries = max(map(math.prod, shapes), default=1)
     if entries > cap:
         return CapExceeded(entries, f"a clique of {entries} entries "
                            f"exceeds the cap {cap}")
-    tables = _clique_tables(graph, split, holder, scopes, cards)
-    model = FactorGraph(
-        graph.semiring, tuple(VariableDecl(i, c) for i, c in enumerate(cards)),
-        tuple(FactorDecl(i, s, t)
-              for i, (s, t) in enumerate(zip(scopes, tables))))
+    tables = _clique_stacks(graph, split, holder, scopes, shapes)
     # tree identity: edges = clusters - components
     assert len(edges) == len(scopes) - len(report.backbone.roots), \
         "the junction forest has one tree per backbone component"
     var_copies: list[list[int]] = [[] for _ in graph.variables]
     for c, v in enumerate(copy_var):
         var_copies[v].append(c)
-    return CompiledModel(graph, model, tuple(map(tuple, var_copies)),
-                         tuple(home), tuple(edges), tuple(roots), cut,
-                         inexact)
+    return CompiledModel(graph, tuple(scopes), tables, cards,
+                         tuple(map(tuple, var_copies)), tuple(home),
+                         tuple(edges), tuple(roots), cut, inexact)
 
 
 # ---------------------------------------------------------------------------
@@ -298,26 +314,26 @@ def augment(graph: FactorGraph, report: HolonomyReport,
 
 @dataclass(frozen=True)
 class ClusterTreeResult:
-    beliefs: tuple[PotentialSlice, ...]  # unnormalized, one per cluster
+    scopes: tuple[tuple[int, ...], ...]  # per cluster: copy ids
+    stacks: TableStacks  # unnormalized beliefs, stacked by shape
     Z: float
     unsat: bool
 
+    @cached_property
+    def beliefs(self) -> tuple[PotentialSlice, ...]:
+        """One unnormalized belief per cluster, built on first read."""
+        return tuple(map(PotentialSlice, self.scopes, self.stacks))
+
 
 def cluster_tree_propagate(compiled: CompiledModel) -> ClusterTreeResult:
-    """Calibrate the junction tree with ``trees.calibrate``.
-
-    Two-pass separator message passing over the cluster forest; Z is
-    read off the root beliefs, one per component.
+    """Calibrate the junction tree's clique stacks with
+    ``trees.calibrate``: Hugin's two passes, a tree level at a time; Z
+    is read off the root beliefs, one per component.
     """
-    g = compiled.graph
-    sr = g.ops
-    scopes = [f.scope for f in g.factors]
-    edges = [(e.a, e.b, e.separator) for e in compiled.cluster_edges]
-    bel, Z = calibrate(sr, scopes, [g.factor_nd(f) for f in g.factors],
-                       edges, compiled.roots)
-    return ClusterTreeResult(
-        tuple(PotentialSlice(s, b) for s, b in zip(scopes, bel)), Z,
-        bool(sr.is_zero(Z)))
+    sr = compiled.source.ops
+    bel, Z = calibrate(sr, compiled.scopes, compiled.tables,
+                       compiled.cluster_edges, compiled.roots)
+    return ClusterTreeResult(compiled.scopes, bel, Z, bool(sr.is_zero(Z)))
 
 
 def marginalize_modes(compiled: CompiledModel,
@@ -325,20 +341,31 @@ def marginalize_modes(compiled: CompiledModel,
     """Per-original-variable marginals from calibrated cluster beliefs.
 
     Each is read from the first copy of its variable, in a cluster that
-    holds it; calibration makes every copy agree.  A variable that no
-    factor holds gets the normalized semiring ones.
+    holds it; calibration makes every copy agree.  The variables read
+    from one belief stack at one axis take one reduce and one
+    ``normalize``.  A variable that no factor holds gets the normalized
+    semiring ones.
     """
-    sr = compiled.graph.ops
-    out = []
+    source = compiled.source
+    sr = source.ops
+    bel = result.stacks
+    out: list = [None] * len(compiled.var_copies)
+    blocks: dict = {}
     for v, copies in enumerate(compiled.var_copies):
         if copies:
-            b = result.beliefs[compiled.home[copies[0]]]
-            axis = b.scope.index(copies[0])
-            vec = sr.add_reduce(b.table, tuple(
-                i for i in range(len(b.scope)) if i != axis))
+            c = compiled.home[copies[0]]
+            vs, rows = blocks.setdefault(
+                (bel.stack[c], compiled.scopes[c].index(copies[0])), ([], []))
+            vs.append(v)
+            rows.append(bel.row[c])
         else:
-            vec = np.full(compiled.source.cardinality(v), sr.one)
-        out.append(sr.normalize(vec))
+            out[v] = sr.normalize(np.full(source.cardinality(v), sr.one))
+    for (k, axis), (vs, rows) in blocks.items():
+        block = bel.arrays[k][row_index(rows)[0]]
+        vecs = sr.normalize(sr.add_reduce(block, tuple(
+            i for i in range(1, block.ndim) if i != axis + 1)))
+        for v, vec in zip(vs, vecs):
+            out[v] = vec
     return out
 
 
@@ -446,7 +473,8 @@ def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
         status = "approximate"
         reason = (f"tol={tol} cut chord(s) {list(compiled.inexact_cuts)} "
                   "whose exact holonomy is not the identity")
-    entries = max((f.table.size for f in compiled.graph.factors), default=0)
+    entries = max((math.prod(a.shape[1:]) for a in compiled.tables.arrays),
+                  default=0)
     return HatccResult(status, Z, tuple(marg), report, timings, records,
                        entries, reason, compiled=compiled)
 

@@ -24,9 +24,16 @@ import numpy as np
 class Semiring:
     """A commutative semiring on float64 values.
 
-    ``add``/``mul`` operate elementwise on arrays; ``add_reduce`` folds
-    ``add`` along the given axes.  ``supports_division`` marks semirings
-    where beliefs can be normalized by dividing by their ``add``-total.
+    ``add`` and ``mul`` are numpy ufuncs, so ``mul.at`` and ``out=``
+    apply; ``add_reduce`` is ``add.reduce``, folding ``add`` along the
+    given axes.  ``div`` is the zero-safe quotient that undoes ``mul``:
+    ``div(mul(a, b), b) == a`` wherever b is not the semiring zero, and
+    zero divided by zero is zero (÷ with 0/0 = 0 under sum- and
+    max-product, − with ∞−∞ = ∞ under min-sum, and the identity under
+    Boolean, whose ``mul`` is idempotent).  Dividing a marginal by a
+    factor it holds is then exact: a zero divisor forces a zero
+    dividend.  ``supports_division`` marks semirings where beliefs can
+    be normalized by dividing by their ``add``-total.
     ``forbidden_rules`` pairs a description with an elementwise test for
     table entries the semiring cannot hold (NaN is always forbidden).
     """
@@ -35,6 +42,7 @@ class Semiring:
     add: Callable[[np.ndarray, np.ndarray], np.ndarray]
     mul: Callable[[np.ndarray, np.ndarray], np.ndarray]
     add_reduce: Callable[..., np.ndarray]
+    div: Callable[[np.ndarray, np.ndarray], np.ndarray]
     zero: float
     one: float
     supports_division: bool
@@ -91,25 +99,29 @@ class Semiring:
 _WEIGHT_RULES = (("infinite entry", np.isinf),
                  ("negative entry", lambda x: x < 0.0))
 
+
+def _zero_safe(op, zero: float, one: float):
+    """``op(a, b)`` with every zero b replaced by the one, so that a
+    zero divisor, under a zero dividend, leaves the zero."""
+    return lambda a, b: op(a, np.where(b == zero, one, b))
+
+
 SEMIRINGS: dict[str, Semiring] = {
     "sum_product": Semiring(
-        "sum_product", np.add, np.multiply,
-        lambda a, axis: np.add.reduce(a, axis=axis),
-        0.0, 1.0, True, _WEIGHT_RULES),
+        "sum_product", np.add, np.multiply, np.add.reduce,
+        _zero_safe(np.divide, 0.0, 1.0), 0.0, 1.0, True, _WEIGHT_RULES),
     "max_product": Semiring(
-        "max_product", np.maximum, np.multiply,
-        lambda a, axis: np.maximum.reduce(a, axis=axis),
-        0.0, 1.0, True, _WEIGHT_RULES),
+        "max_product", np.maximum, np.multiply, np.maximum.reduce,
+        _zero_safe(np.divide, 0.0, 1.0), 0.0, 1.0, True, _WEIGHT_RULES),
     # tropical: zero = +inf, one = 0; +inf marks a forbidden state
     "min_sum": Semiring(
-        "min_sum", np.minimum, np.add,
-        lambda a, axis: np.minimum.reduce(a, axis=axis),
-        np.inf, 0.0, False, (("-inf entry", np.isneginf),)),
+        "min_sum", np.minimum, np.add, np.minimum.reduce,
+        _zero_safe(np.subtract, np.inf, 0.0), np.inf, 0.0, False,
+        (("-inf entry", np.isneginf),)),
     # boolean on {0,1}: add = OR, mul = AND
     "boolean": Semiring(
-        "boolean", np.maximum, np.minimum,
-        lambda a, axis: np.maximum.reduce(a, axis=axis),
-        0.0, 1.0, False,
+        "boolean", np.maximum, np.minimum, np.maximum.reduce,
+        lambda a, b: a, 0.0, 1.0, False,
         (("entry other than 0 or 1", lambda x: (x != 0.0) & (x != 1.0)),)),
 }
 

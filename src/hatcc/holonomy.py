@@ -292,7 +292,9 @@ def diagnose(graph: FactorGraph, tol: float = 0.0,
 
     An interface of more than ``cap`` states among them raises
     ``InterfaceCapExceeded``.  The rank-1 chords' holonomies are composed
-    in one more pass the first time any of them is read.
+    in one more pass the first time any of them is read; reading one
+    whose interfaces exceed ``cap`` raises ``InterfaceCapExceeded``, and
+    the pass leaves it out.
     """
     stamps = [time.perf_counter()]
     nerve = build_factor_nerve(graph)
@@ -313,9 +315,16 @@ def diagnose(graph: FactorGraph, tol: float = 0.0,
         matrices.update(zip(ids, built))
         return identity
 
+    def within_cap(i: int) -> bool:
+        return all(math.prod(graph.scope_shape(J)) <= cap
+                   for J in cycles[i].interface_sequence)
+
     def matrix(i: int) -> np.ndarray:
         if i not in matrices:  # a rank-1 chord's: compose them all
-            compose_chords([j for j, r in enumerate(rank_one) if r])
+            if not within_cap(i):
+                compose_chords([i])  # raises InterfaceCapExceeded
+            compose_chords([j for j, r in enumerate(rank_one)
+                            if r and within_cap(j)])
         return matrices[i]
 
     open_ = [i for i, r in enumerate(rank_one) if not r]
@@ -331,15 +340,22 @@ def diagnose(graph: FactorGraph, tol: float = 0.0,
 
 
 def report_to_json_dict(report: HolonomyReport) -> dict:
+    """The report as JSON; a chord whose holonomy is over the report's
+    interface cap (a rank-1 chord, never composed) has ``null``
+    ``matrix_rows`` and ``mode_sizes``."""
     chords = []
     for cr in report.chords:
-        rows = ["".join("1" if x else "0" for x in row)
-                for row in cr.holonomy.matrix]
+        try:
+            rows = ["".join("1" if x else "0" for x in row)
+                    for row in cr.holonomy.matrix]
+            modes = [len(m) for m in cr.quotient.modes]
+        except InterfaceCapExceeded:
+            rows = modes = None
         chords.append({
-            "chord": list(cr.holonomy.chord.key),
-            "interface": list(cr.holonomy.interface),
+            "chord": list(cr.cycle.chord.key),
+            "interface": list(cr.cycle.interface_sequence[-1]),
             "matrix_rows": rows,
-            "mode_sizes": [len(m) for m in cr.quotient.modes],
+            "mode_sizes": modes,
             "trivial": cr.trivial,
         })
     return {

@@ -1,16 +1,22 @@
-"""Forests: union-find, rooted BFS, spanning trees, tree paths and exact
-calibration.
+"""Forests: union-find, rooted BFS, spanning trees, tree paths, shape
+stacks and exact calibration.
 
-``calibrate`` is the one exact tree solver.  It runs two-pass separator
-message passing (Lauritzen & Spiegelhalter 1988, Shafer & Shenoy) over a
-cluster forest in any semiring.  Its callers build the forest: the
-split-model junction tree of ``compile.cluster_tree_propagate``, which
-every ``hatcc_infer`` run calibrates, and the bipartite factor graph of
+``calibrate`` is the one exact tree solver.  It runs Hugin's two passes
+(Jensen, Lauritzen & Olesen 1990) over a cluster forest in any
+semiring, a breadth-first level at a time, on tables stacked by shape
+(``TableStacks``); the messages of one level that share shapes and a
+separator placement go as one stacked block, and the downward pass
+divides with the semiring's zero-safe ``div``.  Its callers build the
+forest: the split-model junction tree of
+``compile.cluster_tree_propagate``, which every ``hatcc_infer`` run
+calibrates, and the bipartite factor graph of
 ``bp_engine.run_tree_exact``.
 """
 from __future__ import annotations
 
-from typing import Callable, Hashable, Optional, Sequence
+from functools import lru_cache
+from typing import (Callable, Hashable, NamedTuple, Optional, Sequence,
+                    Union)
 
 import numpy as np
 
@@ -107,81 +113,238 @@ def tree_path(up: Callable[[Hashable], Optional[Hashable]], u: Hashable,
     return anc_u[:pos[path_v[-1]]] + path_v[::-1]
 
 
-def expand(table: np.ndarray, scope: Sequence[int],
-           target: Sequence[int]) -> np.ndarray:
-    """A table over ``scope`` viewed with one axis per variable of
-    ``target``, size 1 where ``scope`` lacks the variable, so that it
-    broadcasts against a table over ``target``."""
-    pos = [target.index(v) for v in scope]
-    shape = [1] * len(target)
-    for p, n in zip(pos, table.shape):
-        shape[p] = n
-    return table.transpose(sorted(range(len(pos)),
-                                  key=pos.__getitem__)).reshape(shape)
+class TableStacks:
+    """Cluster tables stacked by shape.
+
+    ``arrays[k]`` is a ``(G, *shape)`` array holding the tables of every
+    cluster of the k-th distinct shape; cluster i is row ``row[i]`` of
+    ``arrays[stack[i]]``.  Indexing gives one cluster's table, a view
+    into its stack.
+    """
+
+    def __init__(self, arrays: list[np.ndarray], stack: Sequence[int],
+                 row: Sequence[int]):
+        self.arrays = arrays
+        self.stack = stack
+        self.row = row
+
+    @staticmethod
+    def _layout(shapes) -> tuple[dict, list[int], list[int], list[list[int]]]:
+        """Stack index per distinct shape (first-seen order), each
+        cluster's stack and row, and each stack's clusters."""
+        index: dict = {}
+        stack, row, members = [], [], []
+        for i, shape in enumerate(shapes):
+            k = index.setdefault(shape, len(index))
+            if k == len(members):
+                members.append([])
+            stack.append(k)
+            row.append(len(members[k]))
+            members[k].append(i)
+        return index, stack, row, members
+
+    @classmethod
+    def full(cls, shapes: Sequence[tuple[int, ...]],
+             value: float) -> TableStacks:
+        """One table per shape, every entry ``value``."""
+        index, stack, row, members = cls._layout(shapes)
+        return cls([np.full((len(m), *shape), value)
+                    for shape, m in zip(index, members)], stack, row)
+
+    @classmethod
+    def of(cls, tables: Sequence[np.ndarray]) -> TableStacks:
+        """Float64 copies of ``tables``, stacked."""
+        _index, stack, row, members = cls._layout(map(np.shape, tables))
+        return cls([np.array([tables[i] for i in m], dtype=np.float64)
+                    for m in members], stack, row)
+
+    def __len__(self) -> int:
+        return len(self.stack)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.arrays[self.stack[i]][self.row[i]]
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
-def _message(sr: Semiring, table: np.ndarray, scope: Sequence[int],
-             separator: Sequence[int], target: Sequence[int]) -> np.ndarray:
-    """Restrict a cluster table to a separator, shaped to broadcast
-    against the axes of the ``target`` cluster."""
-    drop = tuple(i for i, v in enumerate(scope) if v not in separator)
-    if drop:
-        table = sr.add_reduce(table, drop)
-    return expand(table, [v for v in scope if v in separator], target)
+def row_index(rows: Sequence[int]) -> tuple[Union[slice, np.ndarray], str]:
+    """An index for ``rows`` of a stack and how to multiply into them: a
+    slice in place when they are consecutive ("slice"), else an index
+    array, with ``mul.at`` when a row repeats ("at") and a gather and a
+    scatter when none does ("set")."""
+    first = rows[0]
+    if len(rows) == 1 or rows == list(range(first, first + len(rows))):
+        return slice(first, first + len(rows)), "slice"
+    return np.array(rows), "at" if len(set(rows)) < len(rows) else "set"
+
+
+def mul_rows(sr: Semiring, dst: np.ndarray, index, how: str,
+             x: np.ndarray) -> None:
+    """``dst[index] ⊗= x`` in place, ``index`` and ``how`` from
+    ``row_index``."""
+    if how == "slice":
+        view = dst[index]
+        sr.mul(view, x, out=view)
+    elif how == "at":
+        sr.mul.at(dst, index, x)
+    else:
+        dst[index] = sr.mul(dst[index], x)
+
+
+class Placement(NamedTuple):
+    """Where a separator sits in a child and in a parent table, on
+    stacks with a leading row axis."""
+    c_axes: tuple[int, ...]  # child axes summed out
+    p_axes: tuple[int, ...]  # parent axes summed out
+    c_shape: tuple[int, ...]  # a separator table over the child's axes
+    p_shape: tuple[int, ...]  # and over the parent's
+    # when the separator's order differs between them: the separator
+    # alone in child and in parent order, and the transposes between
+    sep_c: Optional[tuple[int, ...]]
+    sep_p: Optional[tuple[int, ...]]
+    to_p: Optional[tuple[int, ...]]
+    to_c: Optional[tuple[int, ...]]
+
+
+@lru_cache(maxsize=4096)
+def placement(cshape: tuple[int, ...], pshape: tuple[int, ...],
+              cpos: tuple[int, ...], ppos: tuple[int, ...]) -> Placement:
+    """The placement of a separator whose variables sit at child axes
+    ``cpos`` and, in the same order, at parent axes ``ppos``."""
+    cpos, ppos = zip(*sorted(zip(cpos, ppos))) if cpos else ((), ())
+    order = sorted(range(len(ppos)), key=ppos.__getitem__)
+    moved = [None] * 4
+    if order != list(range(len(order))):
+        sizes = [cshape[i] for i in cpos]
+        moved = [(-1, *sizes), (-1, *(sizes[i] for i in order)),
+                 (0, *(1 + i for i in order)),
+                 (0, *(1 + order.index(i) for i in range(len(order))))]
+    return Placement(
+        tuple(1 + i for i in range(len(cshape)) if i not in cpos),
+        tuple(1 + j for j in range(len(pshape)) if j not in ppos),
+        (-1, *(n if i in cpos else 1 for i, n in enumerate(cshape))),
+        (-1, *(n if j in ppos else 1 for j, n in enumerate(pshape))),
+        *moved)
+
+
+def to_parent(m: np.ndarray, at: Placement) -> np.ndarray:
+    """Separator tables laid out over the child's axes (``at.c_shape``),
+    laid out over the parent's (``at.p_shape``)."""
+    if at.to_p is not None:
+        m = m.reshape(at.sep_c).transpose(at.to_p)
+    return m.reshape(at.p_shape)
+
+
+class _Messages:
+    """The messages of one tree level that share a child stack, a parent
+    stack and a separator placement, sent as one block.
+
+    The children are one slice of their stack (``calibrate`` orders the
+    rows so); the parents are indexed as ``row_index`` says.
+    """
+    __slots__ = ("kc", "kp", "ci", "pi", "how", "at")
+
+    def __init__(self, kc: int, kp: int, children: slice,
+                 parent_rows: list[int], at: Placement):
+        self.kc, self.kp, self.ci, self.at = kc, kp, children, at
+        self.pi, self.how = row_index(parent_rows)
+
+    def up(self, sr: Semiring, arrays: list[np.ndarray]) -> np.ndarray:
+        """Multiply each child's message into its parent; returns the
+        messages laid out over the children's axes."""
+        at = self.at
+        m = sr.add_reduce(arrays[self.kc][self.ci], at.c_axes, keepdims=True)
+        mul_rows(sr, arrays[self.kp], self.pi, self.how, to_parent(m, at))
+        return m
+
+    def down(self, sr: Semiring, arrays: list[np.ndarray],
+             m: np.ndarray) -> None:
+        """Turn each child's product into its belief: times the parent
+        belief's separator marginal divided by the child's message ``m``."""
+        at = self.at
+        pm = sr.add_reduce(arrays[self.kp][self.pi], at.p_axes, keepdims=True)
+        if at.to_c is not None:
+            pm = pm.reshape(at.sep_p).transpose(at.to_c)
+        view = arrays[self.kc][self.ci]
+        sr.mul(view, sr.div(pm.reshape(at.c_shape), m), out=view)
 
 
 def calibrate(sr: Semiring, scopes: Sequence[Sequence[int]],
-              tables: Sequence[np.ndarray],
+              tables: Union[TableStacks, Sequence[np.ndarray]],
               edges: Sequence[tuple[int, int, Sequence[int]]],
-              roots: Sequence[int] = ()) -> tuple[list[np.ndarray], float]:
-    """Two-pass separator message passing over a cluster forest.
+              roots: Sequence[int] = ()) -> tuple[TableStacks, float]:
+    """Two-pass Hugin calibration of a cluster forest, a level at a time.
 
-    Cluster i holds ``tables[i]``, one axis per variable of ``scopes[i]``.
-    ``edges`` are ``(a, b, separator)`` triples and must form a forest.
-    The message from a to b is a's table times a's other incoming
-    messages, restricted to the separator with the semiring add.
+    Cluster i holds ``tables[i]`` (a sequence, or ``TableStacks``), one
+    axis per variable of ``scopes[i]``.  ``edges`` are ``(a, b,
+    separator)`` triples and must form a forest.  Each component is
+    rooted at the first of ``roots`` it holds, else at its smallest
+    cluster, and the clusters are levelled by breadth-first depth.
 
-    Each component is rooted at the first of ``roots`` it holds, else at
-    its smallest cluster.  Returns the unnormalized cluster beliefs, in
-    scope axis order, and Z: the semiring product, over the components,
-    of each root belief's semiring total.
+    Upward, deepest level first, each child sends its table times its
+    children's messages, restricted to the separator with the semiring
+    add, and the parent multiplies it in.  Downward, from the roots, a
+    child's belief is that product times the parent belief's separator
+    marginal divided (``sr.div``) by the child's own message (Jensen,
+    Lauritzen & Olesen 1990); zero over zero is zero, which is exact,
+    since a zero message entry zeroes the child's entries on both sides.
+    The messages of one level that share a child shape, a parent shape
+    and a separator placement go as one block: one gather, one reduce
+    and one broadcast multiply, so a cluster of degree d costs O(d).
+
+    Returns the unnormalized beliefs, stacked by shape in scope axis
+    order, and Z: the semiring product, over the components, of each
+    root belief's semiring total.
     """
+    if not isinstance(tables, TableStacks):
+        tables = TableStacks.of(tables)
+    stack = tables.stack
     adj: list[list] = [[] for _ in scopes]
     for a, b, sep in edges:
         adj[a].append((b, sep))
         adj[b].append((a, sep))
-    messages: dict[tuple[int, int], np.ndarray] = {}
-
-    def send(src: int, dst: int, sep: Sequence[int], acc: np.ndarray) -> None:
-        messages[src, dst] = _message(sr, acc, scopes[src], sep, scopes[dst])
-
-    order = bfs(adj, [*roots, *range(len(scopes))])
-    for node, par, sep in reversed(order):
-        if par is not None:
-            acc = tables[node]
-            for nb, _sep in adj[node]:
-                if nb != par:
-                    acc = sr.mul(acc, messages[nb, node])
-            send(node, par, sep, acc)
-    # Downward: each child's message is the table times the exclusive
-    # product of the other incoming messages, a prefix times a suffix
-    # product, so a cluster of degree d costs O(d) multiplies; no
-    # division, which min-sum and zero entries forbid.
-    beliefs: list = [None] * len(scopes)
-    for node, par, _sep in order:
-        incoming = [messages[nb, node] for nb, _sep in adj[node]]
-        suffix: list = [None] * len(incoming)  # None: the empty product
-        for i in range(len(incoming) - 1, 0, -1):
-            suffix[i - 1] = incoming[i] if suffix[i] is None \
-                else sr.mul(incoming[i], suffix[i])
-        acc = tables[node]
-        for (nb, sep), msg, rest in zip(adj[node], incoming, suffix):
-            if nb != par:
-                send(node, nb, sep, acc if rest is None else sr.mul(acc, rest))
-            acc = sr.mul(acc, msg)
-        beliefs[node] = acc
-    Z = sr.one
-    for node, par, _sep in order:
+    parent = [0] * len(scopes)
+    depth = [0] * len(scopes)
+    # level 0: the roots by stack; then per level, the children by key
+    levels: list[dict] = [{}]
+    for node, par, sep in bfs(adj, [*roots, *range(len(scopes))]):
         if par is None:
-            Z = sr.mul(Z, sr.add_reduce(beliefs[node], None))
-    return beliefs, float(Z)
+            levels[0].setdefault(stack[node], []).append(node)
+            continue
+        parent[node] = par
+        d = depth[node] = depth[par] + 1
+        if d == len(levels):
+            levels.append({})
+        key = (stack[node], stack[par], tuple(map(scopes[node].index, sep)),
+               tuple(map(scopes[par].index, sep)))
+        levels[d].setdefault(key, []).append(node)
+    # renumber each stack's rows level by level and block by block, so
+    # that a block's children are one slice; the copy is the gather
+    row = [0] * len(scopes)
+    take: list[list[int]] = [[] for _ in tables.arrays]
+    for level in levels:
+        for nodes in level.values():
+            for node in nodes:
+                t = take[stack[node]]
+                row[node] = len(t)
+                t.append(tables.row[node])
+    arrays = [a[t] for a, t in zip(tables.arrays, take)]
+    shapes = [a.shape[1:] for a in arrays]
+    blocks = [[_Messages(kc, kp, slice(row[nodes[0]],
+                                       row[nodes[0]] + len(nodes)),
+                         [row[parent[n]] for n in nodes],
+                         placement(shapes[kc], shapes[kp], cpos, ppos))
+               for (kc, kp, cpos, ppos), nodes in level.items()]
+              for level in levels[1:]]
+    sent = [[b.up(sr, arrays) for b in level] for level in reversed(blocks)]
+    for level, msgs in zip(blocks, reversed(sent)):
+        for b, m in zip(level, msgs):
+            b.down(sr, arrays, m)
+    Z = sr.one
+    for k, nodes in levels[0].items():
+        first = row[nodes[0]]
+        block = arrays[k][first:first + len(nodes)]
+        Z = sr.mul(Z, sr.mul.reduce(sr.add_reduce(
+            block, tuple(range(1, block.ndim)))))
+    return TableStacks(arrays, stack, row), float(Z)

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -740,6 +741,26 @@ class TestStatuses:
         out = result_to_json_dict(res)
         assert out["Z"] is None and out["reason"] == res.reason
         assert hatcc_infer(gen_grid_mrf(5, 5, 2.0, 0.3, 0)).status == "ok"
+
+    def test_over_cap_rank_one_chords_serialise_as_null(self):
+        # the clique cap stops the solve after diagnose has decided every
+        # chord by the rank-1 rule; none can be composed under cap 1
+        res = hatcc_infer(gen_grid_mrf(3, 3, 2.0, 0.3, 0), cap=1)
+        assert res.status == "cap_exceeded" and "clique" in res.reason
+        assert res.report.chords and all(cr.rank_one
+                                         for cr in res.report.chords)
+        out = result_to_json_dict(res)
+        assert [c["matrix_rows"] for c in out["holonomy"]["chords"]] == \
+            [None] * len(res.report.chords)
+        assert all(c["mode_sizes"] is None and c["trivial"] is False
+                   for c in out["holonomy"]["chords"])
+        json.dumps(out)
+        full = result_to_json_dict(hatcc_infer(gen_grid_mrf(3, 3, 2.0, 0.3,
+                                                            0)))
+        assert [c["chord"] for c in full["holonomy"]["chords"]] == \
+            [c["chord"] for c in out["holonomy"]["chords"]]
+        assert all(c["matrix_rows"] is not None
+                   for c in full["holonomy"]["chords"])
 
     def test_interface_over_cap(self):
         res = hatcc_infer(gen_four_cycle("odd"), cap=1)
