@@ -1,5 +1,6 @@
-"""The exact tree path under min-sum and max-product, against enumeration,
-and the cost of calibration."""
+"""The exact tree path under min-sum and max-product, against enumeration;
+the cost of calibration; and ``calibrate`` against enumeration on random
+cluster forests in all four semirings."""
 import dataclasses
 
 import numpy as np
