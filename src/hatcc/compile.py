@@ -249,7 +249,7 @@ def _clique_stacks(graph: FactorGraph, split: Sequence[tuple[int, ...]],
         # a factor is a child whose whole scope is its separator
         at = placement(tuple(dst.shape[1 + p] for p in pos), dst.shape[1:],
                        tuple(range(len(pos))), pos)
-        mul_rows(sr, dst, *row_index(rows),
+        mul_rows(sr, dst, row_index(rows),
                  to_parent(np.concatenate(tabs).reshape(at.c_shape), at))
     return stacks
 
@@ -361,7 +361,7 @@ def marginalize_modes(compiled: CompiledModel,
         else:
             out[v] = sr.normalize(np.full(source.cardinality(v), sr.one))
     for (k, axis), (vs, rows) in blocks.items():
-        block = bel.arrays[k][row_index(rows)[0]]
+        block = bel.arrays[k][row_index(rows)]
         vecs = sr.normalize(sr.add_reduce(block, tuple(
             i for i in range(1, block.ndim) if i != axis + 1)))
         for v, vec in zip(vs, vecs):

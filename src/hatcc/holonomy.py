@@ -18,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -103,6 +103,24 @@ def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
+def interface_sizes(graph: FactorGraph,
+                    interfaces: Iterable[tuple[int, ...]],
+                    cap: int = DEFAULT_INTERFACE_CAP) -> dict:
+    """The state count of each distinct interface, in first-seen order.
+
+    Raises ``InterfaceCapExceeded`` at the first interface of more than
+    ``cap`` states: no holonomy through it is built.
+    """
+    size = dict.fromkeys(interfaces)
+    for J in size:
+        size[J] = math.prod(graph.scope_shape(J))
+        if size[J] > cap:
+            raise InterfaceCapExceeded(
+                f"interface {J} has {size[J]} states, exceeding the cap "
+                f"{cap}; refusing to build the holonomy matrix")
+    return size
+
+
 def loop_holonomies(graph: FactorGraph, loops: Sequence[tuple[
         Sequence[int], Sequence[tuple[int, ...]]]], tol: float = 0.0,
                     cap: int = DEFAULT_INTERFACE_CAP) -> tuple[
@@ -120,13 +138,8 @@ def loop_holonomies(graph: FactorGraph, loops: Sequence[tuple[
     identity and whether it fixes a state.  An interface over ``cap``
     states raises ``InterfaceCapExceeded`` before anything is built.
     """
-    size = dict.fromkeys(J for _f, interfaces in loops for J in interfaces)
-    for J in size:
-        size[J] = math.prod(graph.scope_shape(J))
-        if size[J] > cap:
-            raise InterfaceCapExceeded(
-                f"interface {J} has {size[J]} states, exceeding the cap "
-                f"{cap}; refusing to build the holonomy matrix")
+    size = interface_sizes(graph, (J for _f, interfaces in loops
+                                   for J in interfaces), cap)
     steps, groups = [], {}
     for i, (factors, interfaces) in enumerate(loops):
         around = (interfaces[-1], *interfaces)
@@ -316,13 +329,15 @@ def diagnose(graph: FactorGraph, tol: float = 0.0,
         return identity
 
     def within_cap(i: int) -> bool:
-        return all(math.prod(graph.scope_shape(J)) <= cap
-                   for J in cycles[i].interface_sequence)
+        try:
+            interface_sizes(graph, cycles[i].interface_sequence, cap)
+        except InterfaceCapExceeded:
+            return False
+        return True
 
     def matrix(i: int) -> np.ndarray:
         if i not in matrices:  # a rank-1 chord's: compose them all
-            if not within_cap(i):
-                compose_chords([i])  # raises InterfaceCapExceeded
+            interface_sizes(graph, cycles[i].interface_sequence, cap)
             compose_chords([j for j, r in enumerate(rank_one)
                             if r and within_cap(j)])
         return matrices[i]

@@ -168,28 +168,25 @@ class TableStacks:
         return map(self.__getitem__, range(len(self)))
 
 
-def row_index(rows: Sequence[int]) -> tuple[Union[slice, np.ndarray], str]:
-    """An index for ``rows`` of a stack and how to multiply into them: a
-    slice in place when they are consecutive ("slice"), else an index
-    array, with ``mul.at`` when a row repeats ("at") and a gather and a
-    scatter when none does ("set")."""
+def row_index(rows: Sequence[int]) -> Union[slice, np.ndarray]:
+    """An index for ``rows`` of a stack: a slice when they are
+    consecutive, else an index array."""
     first = rows[0]
     if len(rows) == 1 or rows == list(range(first, first + len(rows))):
-        return slice(first, first + len(rows)), "slice"
-    return np.array(rows), "at" if len(set(rows)) < len(rows) else "set"
+        return slice(first, first + len(rows))
+    return np.array(rows)
 
 
-def mul_rows(sr: Semiring, dst: np.ndarray, index, how: str,
+def mul_rows(sr: Semiring, dst: np.ndarray, index: Union[slice, np.ndarray],
              x: np.ndarray) -> None:
-    """``dst[index] ⊗= x`` in place, ``index`` and ``how`` from
-    ``row_index``."""
-    if how == "slice":
+    """``dst[index] ⊗= x`` in place, ``index`` from ``row_index``: on a
+    view for a slice, with ``mul.at`` (which repeated rows need) for an
+    index array."""
+    if isinstance(index, slice):
         view = dst[index]
         sr.mul(view, x, out=view)
-    elif how == "at":
-        sr.mul.at(dst, index, x)
     else:
-        dst[index] = sr.mul(dst[index], x)
+        sr.mul.at(dst, index, x)
 
 
 class Placement(NamedTuple):
@@ -243,19 +240,19 @@ class _Messages:
     The children are one slice of their stack (``calibrate`` orders the
     rows so); the parents are indexed as ``row_index`` says.
     """
-    __slots__ = ("kc", "kp", "ci", "pi", "how", "at")
+    __slots__ = ("kc", "kp", "ci", "pi", "at")
 
     def __init__(self, kc: int, kp: int, children: slice,
                  parent_rows: list[int], at: Placement):
         self.kc, self.kp, self.ci, self.at = kc, kp, children, at
-        self.pi, self.how = row_index(parent_rows)
+        self.pi = row_index(parent_rows)
 
     def up(self, sr: Semiring, arrays: list[np.ndarray]) -> np.ndarray:
         """Multiply each child's message into its parent; returns the
         messages laid out over the children's axes."""
         at = self.at
         m = sr.add_reduce(arrays[self.kc][self.ci], at.c_axes, keepdims=True)
-        mul_rows(sr, arrays[self.kp], self.pi, self.how, to_parent(m, at))
+        mul_rows(sr, arrays[self.kp], self.pi, to_parent(m, at))
         return m
 
     def down(self, sr: Semiring, arrays: list[np.ndarray],

@@ -762,6 +762,35 @@ class TestStatuses:
         assert all(c["matrix_rows"] is not None
                    for c in full["holonomy"]["chords"])
 
+    def test_rank_one_chords_serialise_on_both_sides_of_the_cap(self):
+        # a binary and a ternary 4-cycle of full-support pair factors: one
+        # rank-1 chord each, on interfaces of 2 and of 3 states; under cap
+        # 2 the first composes and the second does not
+        rng = np.random.default_rng(0)
+        variables = [VariableDecl(v, 2 if v < 4 else 3) for v in range(8)]
+        factors = []
+        for base, k in ((0, 2), (4, 3)):
+            for i in range(4):
+                scope = (base + i, base + (i + 1) % 4)
+                factors.append(FactorDecl(len(factors), scope,
+                                          rng.uniform(0.5, 2.0, k * k)))
+        g = FactorGraph("sum_product", variables, factors)
+        res = hatcc_infer(g, cap=2)
+        assert res.status == "cap_exceeded" and "clique" in res.reason
+        sizes = [math.prod(g.scope_shape(cr.cycle.interface_sequence[-1]))
+                 for cr in res.report.chords]
+        assert sorted(sizes) == [2, 3]
+        assert all(cr.rank_one for cr in res.report.chords)
+        out = result_to_json_dict(res)["holonomy"]["chords"]
+        full = result_to_json_dict(hatcc_infer(g))["holonomy"]["chords"]
+        for n, c, ref in zip(sizes, out, full):
+            if n <= 2:
+                assert c["matrix_rows"] == ref["matrix_rows"] is not None
+                assert c["mode_sizes"] == ref["mode_sizes"] is not None
+            else:
+                assert c["matrix_rows"] is None and c["mode_sizes"] is None
+        json.dumps(out)
+
     def test_interface_over_cap(self):
         res = hatcc_infer(gen_four_cycle("odd"), cap=1)
         assert res.status == "cap_exceeded"
