@@ -374,34 +374,16 @@ def marginalize_modes(compiled: CompiledModel,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ChordRecord:
-    chord: tuple[int, int]
-    cut: bool  # holonomy the identity, so the split model cuts it
-    interface_states: int
-    cycle_length: int  # factors on the fundamental cycle
-    rank_one: bool  # decided by the rank-1 rule, with no composition
-
-
-@dataclass(frozen=True)
 class HatccResult:
     status: str  # "ok" | "unsat" | "approximate" | "cap_exceeded"
     Z: float
     marginals: tuple[np.ndarray, ...]
     report: Optional[HolonomyReport]  # None: an interface is over cap
     timings: dict
-    chords: tuple[ChordRecord, ...] = ()
     max_clique_entries: int = 0
     reason: Optional[str] = None  # why the status is not "ok"
     unsat_chord: Optional[tuple[int, int]] = None
     compiled: Optional[CompiledModel] = None
-
-
-def _chord_records(graph: FactorGraph,
-                   report: HolonomyReport) -> tuple[ChordRecord, ...]:
-    return tuple(ChordRecord(
-        cr.cycle.chord.key, cr.trivial,
-        math.prod(graph.scope_shape(cr.cycle.chord.interface)),
-        len(cr.cycle.factor_sequence), cr.rank_one) for cr in report.chords)
 
 
 def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
@@ -412,11 +394,12 @@ def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
     flags) and holonomy (one stacked composition of the holonomies the
     rank-1 rule leaves open); augment (the cut decisions, the split model
     and its junction tree); propagate; marginalize.  Every graph takes
-    this one path; a forest is the case with no chord.  The status is
-    "unsat" on a certificate or a zero Z, with the normalized semiring
-    ones as every marginal; "cap_exceeded" when an interface or a clique
-    is over ``cap``; and "approximate" when ``tol > 0`` cut a chord whose
-    exact holonomy is not the identity.
+    this one path; a forest is the case with no chord.  The chords cut
+    are exactly the report's trivial chords.  The status is "unsat" on a
+    certificate or a zero Z, each with its reason and the normalized
+    semiring ones as every marginal; "cap_exceeded" when an interface or
+    a clique is over ``cap``; and "approximate" when ``tol > 0`` cut a
+    chord whose exact holonomy is not the identity.
     """
     sr = graph.ops
     timings: dict[str, float] = {}
@@ -440,16 +423,13 @@ def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
 
     t0 = time.perf_counter()
     compiled = augment(graph, report, cap)
-    records = _chord_records(graph, report)
     timings["augment"] = time.perf_counter() - t0
     if isinstance(compiled, UnsatCertificate):
         return HatccResult("unsat", sr.zero, placeholder(), report, timings,
-                           records, reason=compiled.detail,
-                           unsat_chord=compiled.chord)
+                           reason=compiled.detail, unsat_chord=compiled.chord)
     if isinstance(compiled, CapExceeded):
         return HatccResult("cap_exceeded", math.nan, placeholder(), report,
-                           timings, records, compiled.entries,
-                           compiled.detail)
+                           timings, compiled.entries, compiled.detail)
 
     t0 = time.perf_counter()
     ct = cluster_tree_propagate(compiled)
@@ -468,15 +448,16 @@ def hatcc_infer(graph: FactorGraph, tol: float = 0.0,
 
     status, reason = "ok", None
     if ct.unsat:
-        status = "unsat"
+        # float underflow can also zero Z, so this claims no infeasibility
+        status, reason = "unsat", "calibrated Z is the semiring zero"
     elif compiled.inexact_cuts:
         status = "approximate"
         reason = (f"tol={tol} cut chord(s) {list(compiled.inexact_cuts)} "
                   "whose exact holonomy is not the identity")
     entries = max((math.prod(a.shape[1:]) for a in compiled.tables.arrays),
                   default=0)
-    return HatccResult(status, Z, tuple(marg), report, timings, records,
-                       entries, reason, compiled=compiled)
+    return HatccResult(status, Z, tuple(marg), report, timings, entries,
+                       reason, compiled=compiled)
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +552,6 @@ def result_to_json_dict(result: HatccResult) -> dict:
     out["marginals"] = [[float(x) for x in m] for m in result.marginals]
     if result.report is not None:
         out["holonomy"] = report_to_json_dict(result.report)
-    out["chords"] = [{"chord": list(r.chord), "cut": r.cut,
-                      "interface_states": r.interface_states,
-                      "cycle_length": r.cycle_length,
-                      "rank_one": r.rank_one} for r in result.chords]
     out["max_clique_entries"] = result.max_clique_entries
     out["timings_ms"] = {k: 1000.0 * v for k, v in result.timings.items()}
     return out

@@ -234,6 +234,7 @@ def is_trivial(H: HolonomyMatrix) -> bool:
 class ChordReport:
     """A chord's cycle and holonomy, and whether that is the identity.
 
+    ``interface_states`` counts the states of the chord's interface.
     ``rank_one`` marks a chord decided without composition: some factor
     on the cycle has full support and carries disjoint source and target
     interfaces, so its kernel is all ones and the holonomy is a rank-1
@@ -244,6 +245,7 @@ class ChordReport:
     rank-1 chords' are composed together the first time one is read.
     """
     cycle: FundamentalCycle
+    interface_states: int
     rank_one: bool
     trivial: bool  # the holonomy is the identity
     matrix: Callable[[], np.ndarray] = field(repr=False, compare=False)
@@ -283,18 +285,16 @@ def _full_support(graph: FactorGraph, tol: float = 0.0) -> np.ndarray:
     return ~np.logical_or.reduceat(zero, starts)
 
 
-def _is_rank_one(graph: FactorGraph, cycle: FundamentalCycle,
+def _is_rank_one(states: int, cycle: FundamentalCycle,
                 full: np.ndarray) -> bool:
-    """The rank-1 rule: an interface of at least two states and a factor
-    on the cycle with full support (``full``, from ``_full_support``)
-    between disjoint source and target interfaces."""
+    """The rank-1 rule: a chord interface of at least two ``states`` and
+    a factor on the cycle with full support (``full``, from
+    ``_full_support``) between disjoint source and target interfaces."""
     interfaces = cycle.interface_sequence
-    if math.prod(graph.scope_shape(interfaces[-1])) < 2:
-        return False
-    return any(full[fid] and set(source).isdisjoint(target)
-               for fid, source, target in zip(
-                   cycle.factor_sequence, [interfaces[-1], *interfaces],
-                   interfaces))
+    return states >= 2 and any(
+        full[fid] and set(source).isdisjoint(target)
+        for fid, source, target in zip(
+            cycle.factor_sequence, [interfaces[-1], *interfaces], interfaces))
 
 
 def diagnose(graph: FactorGraph, tol: float = 0.0,
@@ -317,7 +317,9 @@ def diagnose(graph: FactorGraph, tol: float = 0.0,
     cycles = [fundamental_cycle(graph, bb, chord) for chord in bb.chords]
     # a chord implies a factor, which _full_support needs
     full = _full_support(graph, tol) if cycles else None
-    rank_one = [_is_rank_one(graph, c, full) for c in cycles]
+    states = [math.prod(graph.scope_shape(c.interface_sequence[-1]))
+              for c in cycles]
+    rank_one = [_is_rank_one(n, c, full) for n, c in zip(states, cycles)]
     stamps.append(time.perf_counter())
     matrices: dict[int, np.ndarray] = {}
 
@@ -346,18 +348,19 @@ def diagnose(graph: FactorGraph, tol: float = 0.0,
     # an empty pass costs microseconds that a chordless solve would feel
     trivial = dict(zip(open_, compose_chords(open_) if open_ else ()))
     stamps.append(time.perf_counter())
-    chords = tuple(ChordReport(c, r, bool(trivial.get(i, False)),
+    chords = tuple(ChordReport(c, n, r, bool(trivial.get(i, False)),
                                partial(matrix, i))
-                   for i, (c, r) in enumerate(zip(cycles, rank_one)))
+                   for i, (c, n, r) in enumerate(zip(cycles, states,
+                                                     rank_one)))
     return HolonomyReport(nerve, bb, chords, tol, dict(zip(
         ("nerve", "backbone", "cycles", "holonomy"),
         (b - a for a, b in zip(stamps, stamps[1:])))))
 
 
 def report_to_json_dict(report: HolonomyReport) -> dict:
-    """The report as JSON; a chord whose holonomy is over the report's
-    interface cap (a rank-1 chord, never composed) has ``null``
-    ``matrix_rows`` and ``mode_sizes``."""
+    """The report as JSON, one entry per chord; a chord whose holonomy is
+    over the report's interface cap (a rank-1 chord, never composed) has
+    ``null`` ``matrix_rows`` and ``mode_sizes``."""
     chords = []
     for cr in report.chords:
         try:
@@ -369,9 +372,12 @@ def report_to_json_dict(report: HolonomyReport) -> dict:
         chords.append({
             "chord": list(cr.cycle.chord.key),
             "interface": list(cr.cycle.interface_sequence[-1]),
+            "interface_states": cr.interface_states,
+            "cycle_length": len(cr.cycle.factor_sequence),
+            "rank_one": cr.rank_one,
+            "trivial": cr.trivial,
             "matrix_rows": rows,
             "mode_sizes": modes,
-            "trivial": cr.trivial,
         })
     return {
         "n_factors": len(report.nerve.vertices),

@@ -6,6 +6,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .holonomy import InterfaceCapExceeded
+
 
 def mean_tv(beliefs: Sequence[np.ndarray],
             reference: Sequence[np.ndarray]) -> float:
@@ -50,14 +52,23 @@ def map_hamming(assignment: Sequence[int], truth: Sequence[int]) -> int:
     return int(sum(1 for a, b in zip(assignment, truth) if a != b))
 
 
+def _mode_count(chord_report) -> Optional[int]:
+    try:
+        return len(chord_report.quotient.modes)
+    except InterfaceCapExceeded:  # a rank-1 chord, never composed
+        return None
+
+
 def holonomy_signature(chord_reports,
                        sector_result=None) -> dict:
-    """Structural summary: nontrivial generators, orbits, weights."""
+    """Structural summary: nontrivial generators, orbits, weights.  A
+    chord whose holonomy is over its report's interface cap counts
+    ``None`` modes."""
     nontrivial = sum(1 for cr in chord_reports if not cr.trivial)
     sig = {
         "n_chords": len(chord_reports),
         "n_nontrivial": nontrivial,
-        "mode_counts": [len(cr.quotient.modes) for cr in chord_reports],
+        "mode_counts": list(map(_mode_count, chord_reports)),
     }
     if sector_result is not None:
         sizes = sorted((len(o) for o in

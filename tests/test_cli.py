@@ -81,9 +81,11 @@ class TestInfer:
         code, out, _ = run(capsys, "infer", even_cycle, "--method", "hatcc")
         assert code == 0
         payload = json.loads(out)
-        assert payload["chords"] == [{"chord": [2, 3], "cut": True,
-                                      "interface_states": 2,
-                                      "cycle_length": 4, "rank_one": False}]
+        assert "chords" not in payload
+        assert payload["holonomy"]["chords"] == [{
+            "chord": [2, 3], "interface": [3], "interface_states": 2,
+            "cycle_length": 4, "rank_one": False, "trivial": True,
+            "matrix_rows": ["10", "01"], "mode_sizes": [1, 1]}]
         assert payload["max_clique_entries"] == 4
         assert "reason" not in payload
 
@@ -150,6 +152,15 @@ class TestDiagnose:
         assert payload["n_chords"] == 1
         text = open(dot).read()
         assert "style=dashed" in text
+
+    def test_prints_the_chord_list_of_infer(self, tmp_path, capsys):
+        path = str(tmp_path / "grid.json")
+        run(capsys, "gen", "grid", "--rows", "3", "--cols", "4", "-o", path)
+        _c, out, _ = run(capsys, "diagnose", path)
+        chords = json.loads(out)["chords"]
+        _c, out, _ = run(capsys, "infer", path, "--method", "hatcc")
+        assert len(chords) == 6
+        assert json.loads(out)["holonomy"]["chords"] == chords
 
 
 class TestSweep:

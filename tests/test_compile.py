@@ -190,7 +190,7 @@ class TestAugment:
         assert_junction_tree(augment(star, rep))
         res = hatcc_infer(star)
         assert res.status == "ok"
-        assert res.chords == ()
+        assert res.report.chords == ()
 
     def test_tree_identity_on_generated_instances(self):
         for seed in range(10):
@@ -365,8 +365,10 @@ class TestHatccInfer:
             for i, s in enumerate(((0, 3), (3, 4), (4, 1)))))
         assert exact_marginals(random_cnf(0, 3, 40, "sum_product")).unsat
         res = hatcc_infer(g)
-        assert [(r.rank_one, r.cut) for r in res.chords] == [(True, False)]
+        assert [(r.rank_one, r.trivial) for r in res.report.chords] == \
+            [(True, False)]
         assert res.status == "unsat" and res.unsat_chord is None
+        assert res.reason == "calibrated Z is the semiring zero"
         assert sr.is_zero(res.Z)
         want = sr.normalize(np.full(2, sr.one))
         for marg in res.marginals:
@@ -615,8 +617,9 @@ class TestExactness:
                                r.uniform(0.5, 2.0, 3)) for v in g.variables]
         g = FactorGraph("sum_product", g.variables, tuple(factors))
         res = hatcc_infer(g)
-        assert sorted((c.cut, c.rank_one) for c in res.chords) == \
-            [(False, True)] + [(True, False)] * (len(res.chords) - 1)
+        chords = res.report.chords
+        assert sorted((c.trivial, c.rank_one) for c in chords) == \
+            [(False, True)] + [(True, False)] * (len(chords) - 1)
         truth = exact_marginals(g)
         assert res.status == "ok"
         assert abs(res.Z - truth.Z) <= 1e-10 * truth.Z
@@ -699,17 +702,17 @@ def test_grid_makes_no_composition(monkeypatch):
     res = hatcc_infer(gen_grid_mrf(6, 6, 0.7, 0.5, 1))
     assert res.status == "ok"
     assert composed == kernels == []
-    assert len(res.chords) == 25
-    assert all(r.rank_one and not r.cut for r in res.chords)
+    assert len(res.report.chords) == 25
+    assert all(r.rank_one and not r.trivial for r in res.report.chords)
 
 
 def test_json_builds_the_rank_one_holonomies_in_one_call(monkeypatch):
     res = hatcc_infer(gen_grid_mrf(10, 10, 1.4, 0.5, 0))
-    assert all(r.rank_one for r in res.chords)
+    assert all(r.rank_one for r in res.report.chords)
     kernels = count_calls(monkeypatch, holonomy, "transport_kernel")
     out = result_to_json_dict(res)
     assert len(kernels) == 1
-    assert len(out["holonomy"]["chords"]) == len(res.chords) == 81
+    assert len(out["holonomy"]["chords"]) == len(res.report.chords) == 81
 
 
 def test_permutation_graph_builds_kernels_in_one_call(monkeypatch):
@@ -720,8 +723,8 @@ def test_permutation_graph_builds_kernels_in_one_call(monkeypatch):
     res = hatcc_infer(g)
     assert res.status == "ok"
     assert len(kernels) == 1
-    assert 0 < len(composed) < len(res.chords)
-    assert all(r.cut and not r.rank_one for r in res.chords)
+    assert 0 < len(composed) < len(res.report.chords)
+    assert all(r.trivial and not r.rank_one for r in res.report.chords)
 
 
 class TestStatuses:
@@ -805,11 +808,11 @@ class TestStatuses:
         g = self.ring(leaky_copy)
         exact = hatcc_infer(g)
         assert exact.status == "ok"
-        assert [r.rank_one for r in exact.chords] == [True]
+        assert [r.rank_one for r in exact.report.chords] == [True]
         res = hatcc_infer(g, tol=0.1)
         assert res.status == "approximate"
-        assert [r.cut for r in res.chords] == [True]
-        assert str(res.chords[0].chord) in res.reason
+        assert [r.trivial for r in res.report.chords] == [True]
+        assert str(res.report.chords[0].cycle.chord.key) in res.reason
         # a cut the exact holonomy agrees with stays "ok"
         assert hatcc_infer(gen_four_cycle("even"), tol=0.1).status == "ok"
 
@@ -826,19 +829,37 @@ class TestStatuses:
         assert abs(res.Z - truth.Z) <= 1e-12 * truth.Z
 
 
-def test_chord_records_in_the_json():
-    res = hatcc_infer(gen_grid_mrf(3, 3, 2.0, 0.3, 0))
-    out = result_to_json_dict(res)
-    assert out["max_clique_entries"] == res.max_clique_entries == 16
+def test_one_chord_list_in_the_json():
+    # one entry per chord, under "holonomy" only; every interface here
+    # is one binary variable
+    def entry(chord, interface, length, rank_one, trivial, rows, modes):
+        return {"chord": chord, "interface": interface,
+                "interface_states": 2, "cycle_length": length,
+                "rank_one": rank_one, "trivial": trivial,
+                "matrix_rows": rows, "mode_sizes": modes}
+    grid = gen_grid_mrf(3, 3, 2.0, 0.3, 0)
+    spans = [([3, 5], [4], 4), ([4, 7], [5], 5), ([8, 10], [7], 6),
+             ([9, 11], [8], 7)]
+    cases = [
+        (hatcc_infer(grid), "ok",
+         [entry(c, i, n, True, False, ["11", "11"], [2])
+          for c, i, n in spans]),
+        (hatcc_infer(gen_four_cycle("even")), "ok",
+         [entry([2, 3], [3], 4, False, True, ["10", "01"], [1, 1])]),
+        (hatcc_infer(gen_four_cycle("odd")), "unsat",
+         [entry([2, 3], [3], 4, False, False, ["01", "10"], [2])]),
+        # the clique cap stops the solve; no rank-1 holonomy is composed
+        (hatcc_infer(grid, cap=1), "cap_exceeded",
+         [entry(c, i, n, True, False, None, None) for c, i, n in spans]),
+    ]
+    for res, status, chords in cases:
+        out = result_to_json_dict(res)
+        assert res.status == out["status"] == status
+        assert "chords" not in out
+        assert out["holonomy"]["chords"] == chords
+    out = result_to_json_dict(cases[0][0])
+    assert out["max_clique_entries"] == cases[0][0].max_clique_entries == 16
     assert "reason" not in out
-    assert out["chords"] == [
-        {"chord": list(cr.cycle.chord.key), "cut": False,
-         "interface_states": 2, "cycle_length": len(cr.cycle.factor_sequence),
-         "rank_one": True} for cr in res.report.chords]
-    assert len(out["chords"]) == 4
-    even = hatcc_infer(gen_four_cycle("even"))
-    assert [(r.cut, r.rank_one, r.interface_states, r.cycle_length)
-            for r in even.chords] == [(True, False, 2, 4)]
 
 
 def naive_min_fill(n, scopes):

@@ -8,7 +8,7 @@ from hatcc.compile import hatcc_infer
 from hatcc.factor_graph import (SEMIRINGS, FactorDecl, FactorGraph,
                                 PotentialSlice, VariableDecl, from_json_dict,
                                 joint_weight, load, restrict, save,
-                                to_json_dict, validate, validate_strict)
+                                to_json_dict, validate)
 from hatcc.generators import gen_four_cycle
 
 

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package, and every test module, uses each name it
+imports."""
 import ast
 import pathlib
 
@@ -8,6 +9,7 @@ import hatcc
 
 MODULES = sorted(p for p in pathlib.Path(hatcc.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")  # its imports are the exports
+MODULES += sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

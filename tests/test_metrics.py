@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hatcc.generators import gen_four_cycle, gen_zk_sync
+from hatcc.generators import gen_four_cycle, gen_grid_mrf, gen_zk_sync
 from hatcc.holonomy import diagnose
 from hatcc.metrics import (holonomy_signature, map_hamming, mean_log_score,
                            mean_tv)
@@ -62,6 +62,15 @@ class TestHolonomySignature:
         rep = diagnose(gen_four_cycle("odd"))
         sig = holonomy_signature(rep.chords)
         assert sig == {"n_chords": 1, "n_nontrivial": 1, "mode_counts": [1]}
+
+    def test_over_cap_chords_count_no_modes(self):
+        # cap 1 leaves every rank-1 holonomy of the grid uncomposed
+        grid = gen_grid_mrf(3, 3, 2.0, 0.3, 0)
+        sig = holonomy_signature(diagnose(grid, cap=1).chords)
+        assert sig == {"n_chords": 4, "n_nontrivial": 4,
+                       "mode_counts": [None] * 4}
+        assert holonomy_signature(diagnose(grid).chords)["mode_counts"] \
+            == [1] * 4
 
     def test_with_sector_result(self):
         inst = gen_zk_sync("cycle", 2, 0.1, 1.0, 0, n=3)
