@@ -388,7 +388,7 @@ def _incidence(graph: FactorGraph) -> list[tuple[int, int, tuple[int]]]:
 
 def is_bipartite_forest(graph: FactorGraph) -> bool:
     """True iff the bipartite variable/factor graph is acyclic."""
-    uf = UnionFind()
+    uf = UnionFind(len(graph.factors) + len(graph.variables))
     return all(uf.union(f, node) for f, node, _sep in _incidence(graph))
 
 

@@ -118,7 +118,7 @@ def split_scopes(graph: FactorGraph, report: HolonomyReport) -> tuple[
     kept = [cr.cycle.chord for cr in report.chords if not cr.trivial]
     remap = range(len(copy_var))
     if kept:
-        uf = UnionFind()
+        uf = UnionFind(len(copy_var))
         for e in kept:
             for v in e.interface:
                 uf.union(label[e.f1][v], label[e.f2][v])

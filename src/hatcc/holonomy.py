@@ -2,9 +2,11 @@
 
 A transport kernel is the Boolean support relation a factor induces
 between two interface state spaces.  ``loop_holonomies`` composes kernels
-around closed loops of factors in one stacked pass: one
-``transport_kernel`` call builds every kernel, and the loops that share a
-sequence of interface sizes are composed together as 3-D stacks.  A
+around closed loops of factors in one stacked pass over index arrays of
+their steps: one ``transport_kernel`` call builds every distinct kernel,
+the loops whose interfaces all have one state count are composed as one
+3-D stack, the shorter ones padded with the identity, and the others
+with those that share their sequence of interface sizes.  A
 chord's fundamental cycle gives its holonomy matrix, and ``sectors``
 builds its base generators the same way.  A holonomy matrix's strongly
 connected components are the modes, read off the relation's
@@ -25,7 +27,10 @@ import numpy as np
 from .factor_graph import FactorGraph
 from .nerve import Backbone, FactorNerve, FundamentalCycle, NerveEdge
 from .nerve import build_factor_nerve, backbone as build_backbone
-from .nerve import fundamental_cycle
+from .nerve import fundamental_cycles
+# diagnose builds the cycles with fundamental_cycles, but
+# perfbench/tracer.py wraps fundamental_cycle under this module's name
+from .nerve import fundamental_cycle  # noqa: F401
 
 DEFAULT_INTERFACE_CAP = 2 ** 16
 
@@ -65,20 +70,24 @@ def transport_kernel(graph: FactorGraph, requests: Sequence[tuple[
     ``einsum`` view of the stacked source-by-target arrays, which ties a
     variable in both to one axis.
     """
+    cards = graph._cardinalities
+    factors = graph.factors
     groups: dict = {}
     for i, (fid, source, target) in enumerate(requests):
-        scope = graph.factors[fid].scope
-        if not {*source, *target} <= set(scope):
+        scope = factors[fid].scope
+        try:
+            key = (tuple([cards[v] for v in scope]),
+                   tuple([scope.index(v) for v in source]),
+                   tuple([scope.index(v) for v in target]))
+        except ValueError:
             raise ValueError(f"source {tuple(source)} or target "
                              f"{tuple(target)} not within factor {fid} "
-                             f"scope {scope}")
-        groups.setdefault((graph.scope_shape(scope),
-                           tuple(map(scope.index, source)),
-                           tuple(map(scope.index, target))), []).append(i)
+                             f"scope {scope}") from None
+        groups.setdefault(key, []).append(i)
     out: list = [None] * len(requests)
     for (shape, source, target), members in groups.items():
-        tables = np.stack([graph.factors[requests[i][0]].table
-                           for i in members]).reshape(-1, *shape)
+        tables = np.concatenate([factors[requests[i][0]].table
+                                 for i in members]).reshape(-1, *shape)
         kept = sorted({*source, *target})
         supported = (~graph.ops.is_zero(tables, tol)).any(axis=tuple(
             1 + a for a in range(len(shape)) if a not in kept))
@@ -111,9 +120,10 @@ def interface_sizes(graph: FactorGraph,
     Raises ``InterfaceCapExceeded`` at the first interface of more than
     ``cap`` states: no holonomy through it is built.
     """
+    cards = graph._cardinalities
     size = dict.fromkeys(interfaces)
     for J in size:
-        size[J] = math.prod(graph.scope_shape(J))
+        size[J] = math.prod(map(cards.__getitem__, J))
         if size[J] > cap:
             raise InterfaceCapExceeded(
                 f"interface {J} has {size[J]} states, exceeding the cap "
@@ -130,36 +140,88 @@ def loop_holonomies(graph: FactorGraph, loops: Sequence[tuple[
 
     A loop is (factors, interfaces): ``factors[i]`` carries
     ``interfaces[i - 1]`` to ``interfaces[i]``, so the loop starts and
-    ends at ``interfaces[-1]``.  One ``transport_kernel`` call builds
-    every kernel the loops pass through, and the kernels of each shape
-    are stacked once.  Loops with one sequence of interface sizes are
-    composed together, one ``compose`` per step on 3-D stacks, with no
-    padding.  Returns each loop's matrix and, per loop, whether it is the
+    ends at ``interfaces[-1]``.  The steps of all loops are laid out as
+    index arrays; each distinct (factor, source, target) is one request,
+    and one ``transport_kernel`` call builds them in order of kernel
+    shape, so that each shape's kernels are sliced into one stack.  The
+    loops whose interfaces all have s states are composed together as
+    one stack, the shorter ones padded at the end with the s x s
+    identity, the unit of the Boolean product, so that they take
+    (longest loop - 1) ``compose`` steps on 3-D stacks.  Loops of mixed
+    sizes are composed together with the others of their sequence of
+    sizes.  Returns each loop's matrix and, per loop, whether it is the
     identity and whether it fixes a state.  An interface over ``cap``
     states raises ``InterfaceCapExceeded`` before anything is built.
     """
-    size = interface_sizes(graph, (J for _f, interfaces in loops
-                                   for J in interfaces), cap)
-    steps, groups = [], {}
-    for i, (factors, interfaces) in enumerate(loops):
-        around = (interfaces[-1], *interfaces)
-        steps.append(list(zip(factors, around, interfaces)))
-        groups.setdefault(tuple(map(size.get, around)), []).append(i)
-    row = dict.fromkeys(key for s in steps for key in s)
-    kernels = dict(zip(row, transport_kernel(graph, list(row), tol))
-                   if row else ())
-    by_shape: dict = {}
-    for key in row:  # each kernel's row in the stack of its shape
-        same = by_shape.setdefault(kernels[key].shape, [])
-        row[key] = len(same)
-        same.append(kernels[key])
-    stacks = {shape: np.stack(same) for shape, same in by_shape.items()}
+    factors = [f for loop_factors, _ in loops for f in loop_factors]
+    targets = [J for _, interfaces in loops for J in interfaces]
+    size = interface_sizes(graph, targets, cap)
+    if not loops:
+        return [], np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
+    # one entry per step: its factor, its target interface's id and, in
+    # ``source``, the step whose target is its source: the loop's
+    # previous step, cyclically
+    ids = {J: i for i, J in enumerate(size)}
+    target = np.array([ids[J] for J in targets])
+    lengths = np.array([len(loop_factors) for loop_factors, _ in loops])
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    source = np.arange(-1, len(targets) - 1)
+    source[starts] = ends - 1
+    states = np.array([*size.values()])[target]
+    # the steps sorted by kernel shape, then by (factor, source, target):
+    # each run of one key is one request, and each shape's requests are
+    # one slice of the kernels
+    factor = np.array(factors)
+    pair = target[source] * len(ids) + target
+    by = np.lexsort((pair, factor, states, states[source]))
+    factor, pair = factor[by], pair[by]
+    new = np.ones(len(by), dtype=bool)
+    new[1:] = (factor[1:] != factor[:-1]) | (pair[1:] != pair[:-1])
+    step_request = np.empty_like(by)
+    step_request[by] = np.cumsum(new) - 1
+    first = by[new]
+    kernels = transport_kernel(graph, [
+        (factors[p], targets[q], targets[p])
+        for p, q in zip(first.tolist(), source[first].tolist())], tol)
+    # a square stack ends with the identity, the padding of the loops of
+    # one size
+    shape_in, shape_out = states[source[first]], states[first]
+    cuts = [0, *(np.flatnonzero((shape_in[1:] != shape_in[:-1])
+                                | (shape_out[1:] != shape_out[:-1]))
+                 + 1).tolist(), len(first)]
+    stacks, row = {}, np.empty(len(first), dtype=np.intp)
+    for lo, hi in zip(cuts, cuts[1:]):
+        shape = (int(shape_in[lo]), int(shape_out[lo]))
+        block = kernels[lo:hi]
+        if shape[0] == shape[1]:
+            block.append(np.eye(shape[0], dtype=bool))
+        stacks[shape] = np.array(block)
+        row[lo:hi] = np.arange(hi - lo)
+    step_row = row[step_request]
+    # loops of one size by that size; the others by their size sequence
+    low = np.minimum.reduceat(states, starts)
+    uniform = low == np.maximum.reduceat(states, starts)
+    groups: dict = {}
+    for i, s in zip(np.flatnonzero(uniform).tolist(),
+                    low[uniform].tolist()):
+        groups.setdefault((s,), []).append(i)
+    sizes = states.tolist()
+    for i in np.flatnonzero(~uniform).tolist():
+        lo, hi = int(starts[i]), int(ends[i])
+        groups.setdefault((sizes[hi - 1], *sizes[lo:hi]), []).append(i)
     matrices: list = [None] * len(loops)
     identity, fixed = np.zeros((2, len(loops)), dtype=bool)
     for sizes, members in groups.items():
-        rows = np.array([[row[key] for key in steps[i]] for i in members])
-        H = stacks[sizes[:2]][rows[:, 0]]
-        for t, shape in enumerate(zip(sizes[1:], sizes[2:]), 1):
+        longest = int(lengths[members].max())
+        at = np.arange(longest)
+        within = at < lengths[members, None]
+        rows = np.where(within, step_row[np.where(
+            within, starts[members, None] + at, 0)], -1)
+        shapes = ([(sizes[0], sizes[0])] * longest if len(sizes) == 1
+                  else list(zip(sizes, sizes[1:])))
+        H = stacks[shapes[0]][rows[:, 0]]
+        for t, shape in enumerate(shapes[1:], 1):
             H = compose(H, stacks[shape][rows[:, t]])
         diagonal = H.diagonal(axis1=1, axis2=2)
         identity[members] = diagonal.all(axis=1) & (
@@ -276,32 +338,33 @@ class HolonomyReport:
     timings: dict = field(compare=False)
 
 
-def _full_support(graph: FactorGraph, tol: float = 0.0) -> np.ndarray:
-    """Per factor: True iff no table entry counts as zero under ``tol``.
-    The graph must have a factor."""
+def _full_support(graph: FactorGraph, tol: float = 0.0) -> set[int]:
+    """The ids of the factors none of whose table entries count as zero
+    under ``tol``.  The graph must have a factor."""
     tables = [f.table for f in graph.factors]
     starts = np.cumsum([0] + [t.size for t in tables[:-1]])
     zero = graph.ops.is_zero(np.concatenate(tables), tol)
-    return ~np.logical_or.reduceat(zero, starts)
+    return set(np.flatnonzero(~np.logical_or.reduceat(zero, starts)).tolist())
 
 
 def _is_rank_one(states: int, cycle: FundamentalCycle,
-                full: np.ndarray) -> bool:
+                 full: set[int]) -> bool:
     """The rank-1 rule: a chord interface of at least two ``states`` and
-    a factor on the cycle with full support (``full``, from
+    a factor on the cycle with full support (in ``full``, from
     ``_full_support``) between disjoint source and target interfaces."""
-    interfaces = cycle.interface_sequence
-    return states >= 2 and any(
-        full[fid] and set(source).isdisjoint(target)
+    path, interfaces = cycle.factor_sequence, cycle.interface_sequence
+    return states >= 2 and not full.isdisjoint(path) and any(
+        fid in full and set(source).isdisjoint(target)
         for fid, source, target in zip(
-            cycle.factor_sequence, [interfaces[-1], *interfaces], interfaces))
+            path, [interfaces[-1], *interfaces], interfaces))
 
 
 def diagnose(graph: FactorGraph, tol: float = 0.0,
              cap: int = DEFAULT_INTERFACE_CAP) -> HolonomyReport:
-    """Nerve, backbone, per-chord cycles and rank-1 flags, and the
-    holonomies of the chords the rank-1 rule leaves open, composed in one
-    ``loop_holonomies`` pass that decides ``trivial``.
+    """Nerve, backbone, every chord's cycle, interface state count and
+    rank-1 flag, and the holonomies of the chords the rank-1 rule leaves
+    open, composed in one ``loop_holonomies`` pass that decides
+    ``trivial``.
 
     An interface of more than ``cap`` states among them raises
     ``InterfaceCapExceeded``.  The rank-1 chords' holonomies are composed
@@ -314,10 +377,11 @@ def diagnose(graph: FactorGraph, tol: float = 0.0,
     stamps.append(time.perf_counter())
     bb = build_backbone(nerve)
     stamps.append(time.perf_counter())
-    cycles = [fundamental_cycle(graph, bb, chord) for chord in bb.chords]
+    cycles = fundamental_cycles(bb)
     # a chord implies a factor, which _full_support needs
     full = _full_support(graph, tol) if cycles else None
-    states = [math.prod(graph.scope_shape(c.interface_sequence[-1]))
+    cards = graph._cardinalities
+    states = [math.prod([cards[v] for v in c.chord.interface])
               for c in cycles]
     rank_one = [_is_rank_one(n, c, full) for n, c in zip(states, cycles)]
     stamps.append(time.perf_counter())

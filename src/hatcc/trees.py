@@ -24,19 +24,19 @@ from .factor_graph import Semiring
 
 
 class UnionFind:
-    """Disjoint sets over hashable items, created on first use."""
+    """Disjoint sets over the ints ``0 .. n-1``, each its own set at
+    first, with path halving (Tarjan & van Leeuwen 1984)."""
 
-    def __init__(self):
-        self.parent: dict = {}
+    def __init__(self, n: int):
+        self.parent = list(range(n))
 
-    def find(self, x: Hashable) -> Hashable:
+    def find(self, x: int) -> int:
         parent = self.parent
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])  # path halving
-            x = parent[x]
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
         return x
 
-    def union(self, a: Hashable, b: Hashable) -> bool:
+    def union(self, a: int, b: int) -> bool:
         """Join the sets of a and b; False if they were already one set."""
         a, b = self.find(a), self.find(b)
         if a == b:

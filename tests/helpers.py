@@ -176,7 +176,7 @@ def assert_junction_tree(compiled) -> None:
     each separator is the intersection of its two cluster scopes, and
     the clusters holding each copy form a connected subtree."""
     scopes = [f.scope for f in compiled.graph.factors]
-    uf = UnionFind()
+    uf = UnionFind(len(scopes))
     for e in compiled.cluster_edges:
         assert uf.union(e.a, e.b), "cluster edges close a cycle"
         assert set(e.separator) == set(scopes[e.a]) & set(scopes[e.b])

@@ -31,6 +31,14 @@ class TestValidate:
         assert len(problems) == 1
         assert "table length 3" in problems[0]
         assert "factor 0" in problems[0]
+        # the expected length is an exact integer: an int64 product of
+        # two 2**32 cardinalities would wrap to 0 and pass an empty table
+        g = FactorGraph("sum_product",
+                        (VariableDecl(0, 2 ** 32), VariableDecl(1, 2 ** 32)),
+                        (FactorDecl(0, (0, 1), []),))
+        problems = validate(g)
+        assert len(problems) == 1
+        assert "expected 18446744073709551616" in problems[0]
 
     def test_unknown_variable_id(self):
         g = FactorGraph("sum_product", (VariableDecl(0, 2),),

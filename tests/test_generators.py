@@ -6,6 +6,7 @@ from hatcc.generators import (gen_four_cycle, gen_grid_mrf,
                               topology_edges)
 from hatcc.oracle import exact_marginals
 from hatcc.sectors import decompose
+from hatcc.trees import UnionFind
 
 
 class TestTopologies:
@@ -23,17 +24,10 @@ class TestTopologies:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             n, edges = topology_edges("random", n=9, p=0.2, rng=rng)
-            parent = list(range(n))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
+            uf = UnionFind(n)
             for a, b in edges:
-                parent[find(a)] = find(b)
-            assert len({find(v) for v in range(n)}) == 1
+                uf.union(a, b)
+            assert len({uf.find(v) for v in range(n)}) == 1
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -348,6 +348,24 @@ class TestRankOne:
         assert set(rep.timings) == {"nerve", "backbone", "cycles",
                                     "holonomy"}
 
+    def test_loops_of_one_size_compose_as_one_padded_stack(self,
+                                                          monkeypatch):
+        # no field and no noise: every chord is open and every interface
+        # one variable of 3 states; the shorter loops are padded with the
+        # identity, so the stack takes (longest loop - 1) steps
+        g = gen_permutation_graph("grid", 3, 0.0, 0, consistent=True,
+                                  rows=3, cols=4).graph
+        kernels = count_calls(monkeypatch, holonomy, "transport_kernel")
+        composed = count_calls(monkeypatch, holonomy, "compose")
+        rep = diagnose(g)
+        lengths = [len(cr.cycle.factor_sequence) for cr in rep.chords]
+        assert len(set(lengths)) > 1
+        assert {cr.interface_states for cr in rep.chords} == {3}
+        assert not any(cr.rank_one for cr in rep.chords)
+        assert all(cr.trivial for cr in rep.chords)
+        assert len(kernels) == 1
+        assert len(composed) == max(lengths) - 1
+
     def test_rule_needs_disjoint_interfaces_and_two_states(self):
         # hard copy constraints: no factor has full support
         rep = diagnose(gen_four_cycle("even"))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import (all_pairs_nerve, assert_junction_tree, random_graph,
-                     random_nerve_tree, random_pairwise_tree,
+from helpers import (all_pairs_nerve, assert_junction_tree, random_cnf,
+                     random_graph, random_nerve_tree, random_pairwise_tree,
                      running_intersection_violations)
 from hatcc import nerve as nerve_module
 from hatcc.compile import UnsatCertificate, augment
@@ -74,20 +74,8 @@ class TestBackbone:
             for _ in range(20):
                 order = list(nerve.edges)
                 r.shuffle(order)
-                parent = {v: v for v in nerve.vertices}
-
-                def find(x):
-                    while parent[x] != x:
-                        parent[x] = parent[parent[x]]
-                        x = parent[x]
-                    return x
-
-                total = 0.0
-                for e in order:
-                    a, b = find(e.f1), find(e.f2)
-                    if a != b:
-                        parent[a] = b
-                        total += e.weight
+                uf = UnionFind(len(nerve.vertices))
+                total = sum(e.weight for e in order if uf.union(e.f1, e.f2))
                 assert total <= best + 1e-9
 
     def test_deterministic(self):
@@ -143,9 +131,11 @@ class TestFundamentalCycle:
 
 def reference_backbone(graph):
     """All-pairs nerve, Kruskal by (-weight, f1, f2), each component rooted
-    at its factor of highest all-pairs degree (ties to the smallest id)."""
+    at its factor of highest all-pairs degree (ties to the smallest id),
+    the components in order of their least factor, and a breadth-first
+    walk from each root that visits neighbours in ascending id order."""
     nerve = all_pairs_nerve(graph)
-    uf = UnionFind()
+    uf = UnionFind(len(nerve.vertices))
     tree = [e for e in sorted(nerve.edges,
                               key=lambda e: (-e.weight, e.f1, e.f2))
             if uf.union(e.f1, e.f2)]
@@ -165,13 +155,12 @@ def reference_backbone(graph):
         root = max(comp, key=lambda u: (degree[u], -u))
         roots.append(root)
         parent[root] = None
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
+        queue = [root]
+        for x in queue:
+            for y in sorted(adj[x]):
                 if y not in parent:
                     parent[y] = x
-                    stack.append(y)
+                    queue.append(y)
     return sorted(tree, key=lambda e: e.key), roots, parent
 
 
@@ -194,16 +183,18 @@ def sample_graphs():
 
 
 def bipartite_cycle_rank(graph):
-    """Independent cycles of the variable-factor incidence graph."""
-    uf = UnionFind()
+    """Independent cycles of the variable-factor incidence graph: factor
+    f is node f and variable v node m + v, where m is the factor count."""
+    m = len(graph.factors)
+    uf = UnionFind(m + len(graph.variables))
     nodes = set()
     incidences = 0
     for f in graph.factors:
-        nodes.add(("f", f.id))
+        nodes.add(f.id)
         for v in f.scope:
             incidences += 1
-            nodes.add(("v", v))
-            uf.union(("f", f.id), ("v", v))
+            nodes.add(m + v)
+            uf.union(f.id, m + v)
     components = len({uf.find(x) for x in nodes})
     return incidences - len(nodes) + components
 
@@ -216,6 +207,27 @@ class TestSparseNerve:
             assert list(bb.tree_edges) == tree
             assert list(bb.roots) == roots
             assert bb.parent == parent
+
+    def test_breadth_first_order_matches_reference(self):
+        # split_scopes numbers the variable copies in parent order; the
+        # CNFs' clauses share two variables, so their nerves take the
+        # heavy-pair Kruskal
+        graphs = sample_graphs() + [random_cnf(seed, n=12, m=40)
+                                    for seed in range(10)]
+        for g in graphs:
+            rep = diagnose(g)
+            bb = rep.backbone
+            _tree, roots, parent = reference_backbone(g)
+            assert list(bb.parent.items()) == list(parent.items())
+            assert [f for f, p in bb.parent.items() if p is None] == roots
+            first = {}
+            for f, p in bb.parent.items():
+                first[f] = f if p is None else first[p]
+            assert list(dict.fromkeys(first.values())) == list(bb.roots)
+            assert [cr.cycle for cr in rep.chords] == [
+                fundamental_cycle(g, bb, chord) for chord in bb.chords]
+        assert any(len(e.interface) > 1 for g in graphs[-10:]
+                   for e in build_factor_nerve(g).edges)
 
     def test_edges_subset_of_all_pairs(self):
         for g in sample_graphs():
@@ -230,7 +242,7 @@ class TestSparseNerve:
             nerve = build_factor_nerve(g)
             for v in range(len(g.variables)):
                 holders = g.var_neighbors(v)
-                uf = UnionFind()
+                uf = UnionFind(len(g.factors))
                 for e in nerve.edges:
                     if v in e.interface:
                         uf.union(e.f1, e.f2)
@@ -274,7 +286,7 @@ def reference_nerve(graph):
     full = all_pairs_nerve(graph)
     chosen = {}
     for v in range(len(graph.variables)):
-        uf = UnionFind()
+        uf = UnionFind(len(full.vertices))
         for e in sorted((e for e in full.edges if v in e.interface),
                         key=lambda e: (-e.weight, e.f1, e.f2)):
             if uf.union(e.f1, e.f2):

@@ -163,7 +163,7 @@ def random_table(rng, sr, shape):
 def enumerated_beliefs(sr, cards, scopes, tables, edges):
     """Each cluster's belief, the marginal of the joint table of its own
     component, and Z, the semiring product of the components' totals."""
-    uf = UnionFind()
+    uf = UnionFind(len(scopes))
     for a, b, _sep in edges:
         uf.union(a, b)
     n = len(cards)
