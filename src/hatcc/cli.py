@@ -82,9 +82,9 @@ def _infer_payload(graph, method: str, args, seed=None, dec=None) -> dict:
     """JSON payload of one solver run: the CLI's only call into a solver.
 
     ``args`` carries the inference options (``--max-iters``,
-    ``--threshold``, ``--damping``, ``--init``, ``--tol``,
-    ``--sector-mode``), ``seed`` seeds BP's random start, and ``dec`` is
-    a sector decomposition of ``graph`` to reuse (None: compute one).
+    ``--threshold``, ``--damping``, ``--init``, ``--tol``), ``seed``
+    seeds BP's random start, and ``dec`` is a sector decomposition of
+    ``graph`` to reuse (None: compute one).
     """
     if method == "bp":
         res = bp_engine.run(graph, max_iters=args.max_iters,
@@ -103,12 +103,8 @@ def _infer_payload(graph, method: str, args, seed=None, dec=None) -> dict:
         return result_to_json_dict(hatcc_infer(graph, tol=args.tol))
     if method == "sectors":
         res = sectors_mod.sector_infer(graph, decomposition=dec,
-                                       mode=args.sector_mode,
-                                       tol=args.tol,
-                                       max_iters=args.max_iters,
-                                       residual_threshold=args.threshold)
+                                       tol=args.tol)
         payload = sectors_mod.sector_report_json(res)
-        payload["status"] = "unsat" if res.unsat else "ok"
         payload["marginals"] = _marginal_lists(res.marginals)
         return payload
     if method == "oracle":
@@ -173,14 +169,12 @@ def cmd_sweep(args) -> int:
         for method in methods:
             res = _infer_payload(inst.graph, method, args, seed, dec)
             if method == "bp":
-                conv, osc, iters = (res["converged"], res["oscillating"],
-                                    res["iterations"])
-            else:  # per orbit; an exact tree run reports 0 and False
-                conv, osc, iters = (all(res["converged"]),
-                                    any(res["oscillating"]),
-                                    max(res["iterations"], default=0))
-            row = dict(common, method=method, converged=int(conv),
-                       oscillating=int(osc), iterations=iters)
+                row = dict(common, method=method,
+                           converged=int(res["converged"]),
+                           oscillating=int(res["oscillating"]),
+                           iterations=res["iterations"])
+            else:
+                row = dict(common, method=method, status=res["status"])
             if truth is not None:
                 row["mean_tv"] = metrics.mean_tv(res["marginals"],
                                                  truth["marginals"])
@@ -225,9 +219,9 @@ def _add_infer_options(p) -> None:
     p.add_argument("--damping", type=float, default=0.0)
     p.add_argument("--init", choices=("ones", "random"), default="ones")
     p.add_argument("--tol", type=float, default=0.0,
-                   help="support tolerance for transport kernels")
-    p.add_argument("--sector-mode", choices=("decomposition", "sector_bp"),
-                   default="sector_bp")
+                   help="support tolerance for transport kernels: the "
+                        "chord tolerance for hatcc and the orbit "
+                        "tolerance for sectors")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,9 +2,11 @@
 
 A spanning tree of the variable graph leaves one holonomy generator per
 off-tree edge, acting on the base variable's state space.  Orbits of the
-generated action partition that fiber; inference is run once per orbit
-with the base clamped to it, and the per-orbit marginals are recombined
-with normalized evidence weights.
+generated action partition that fiber.  Inference is cutset conditioning
+on the base (Pearl 1988, section 4.5): one exact ``hatcc_infer`` per
+orbit, of the full model with the base clamped to it, gives the orbit's
+evidence Z and marginals, recombined with the normalized evidences as
+weights.  Any grouping of the fiber recombines exactly.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import bp_engine
+from . import compile as compile_mod
 from .factor_graph import FactorDecl, FactorGraph, validate_strict
 # compose and transport_kernel are no longer called here, but
 # perfbench/tracer.py wraps them under this module's name
@@ -46,30 +48,25 @@ class SectorDecomposition:
 @dataclass(frozen=True)
 class SectorResult:
     decomposition: SectorDecomposition
-    mode: str  # "decomposition" | "sector_bp"
-    evidences: tuple[float, ...]
+    evidences: tuple[float, ...]  # per orbit Z of the clamped model
     weights: tuple[float, ...]
     per_orbit_marginals: tuple[tuple[np.ndarray, ...], ...]
     marginals: tuple[np.ndarray, ...]  # recombined
-    converged: tuple[bool, ...]  # per orbit (True for exact tree runs)
-    unsat: bool
-    iterations: tuple[int, ...]  # per orbit BP sweeps (0 for exact runs)
-    oscillating: tuple[bool, ...]  # per orbit (False for exact runs)
+    status: str  # "ok" | "unsat" | "cap_exceeded"
+
+    @property
+    def unsat(self) -> bool:
+        return self.status == "unsat"
 
 
-def _pairwise_structure(graph: FactorGraph):
-    """Split factors into unary and pairwise; reject higher arity."""
-    unary, pairwise = [], []
+def _pairwise_structure(graph: FactorGraph) -> list[int]:
+    """Ids of the pairwise factors; reject arity above two."""
     for f in graph.factors:
-        if len(f.scope) == 1:
-            unary.append(f.id)
-        elif len(f.scope) == 2:
-            pairwise.append(f.id)
-        else:
+        if len(f.scope) > 2:
             raise ValueError(f"factor {f.id} has arity {len(f.scope)}; "
                              "sector decomposition handles pairwise models "
                              "only")
-    return unary, pairwise
+    return [f.id for f in graph.factors if len(f.scope) == 2]
 
 
 def variable_tree(graph: FactorGraph,
@@ -79,13 +76,16 @@ def variable_tree(graph: FactorGraph,
     The default base is the variable of highest pairwise degree, ties to
     the smallest id.
     """
-    _unary, pairwise = _pairwise_structure(graph)
-    order = spanning_tree(len(graph.variables),
+    n = len(graph.variables)
+    if base is not None and not 0 <= base < n:
+        raise ValueError(f"base {base} is not a variable id 0..{n - 1}")
+    pairwise = _pairwise_structure(graph)
+    order = spanning_tree(n,
                           [graph.factors[fid].scope for fid in pairwise], base)
     parent = {node: None if par is None else (par, pairwise[idx])
               for node, par, idx in order}
     tree_factors = sorted(pairwise[idx] for _node, _par, idx in order[1:])
-    if len(parent) != len(graph.variables):
+    if len(parent) != n:
         raise ValueError("sector decomposition requires a connected "
                          "pairwise model")
     offtree = tuple(sorted(set(pairwise) - set(tree_factors)))
@@ -144,36 +144,29 @@ def decompose(graph: FactorGraph, base: Optional[int] = None,
     return SectorDecomposition(tree.base, tree, tuple(gens), orbits)
 
 
-def _clamped_graph(graph: FactorGraph, keep_factors, base: int,
-                   orbit) -> FactorGraph:
-    """Sub-model with a unary indicator clamping the base to the orbit."""
+def _clamped_graph(graph: FactorGraph, base: int, orbit) -> FactorGraph:
+    """The model with a unary indicator clamping the base to the orbit."""
     sr = graph.ops
-    factors = []
-    for fid in keep_factors:
-        f = graph.factors[fid]
-        factors.append(FactorDecl(len(factors), f.scope, f.table))
     clamp = np.full(graph.cardinality(base), sr.zero)
-    for s in orbit:
-        clamp[s] = sr.one
-    factors.append(FactorDecl(len(factors), (base,), clamp))
-    return FactorGraph(graph.semiring, graph.variables, tuple(factors))
+    clamp[list(orbit)] = sr.one
+    return FactorGraph(graph.semiring, graph.variables, graph.factors + (
+        FactorDecl(len(graph.factors), (base,), clamp),))
 
 
 def sector_infer(graph: FactorGraph,
                  decomposition: Optional[SectorDecomposition] = None,
                  base: Optional[int] = None, mode: str = "sector_bp",
-                 tol: float = 0.0, max_iters: int = 200,
-                 residual_threshold: float = 1e-6) -> SectorResult:
+                 tol: float = 0.0) -> SectorResult:
     """Per-orbit clamped inference and evidence-weighted recombination.
 
-    Each orbit takes one path.  An exact solve of the clamped spanning
-    tree model (unary factors, tree factors and the clamp) gives the
-    orbit's evidence Z and, in 'decomposition' mode, its marginals.
-    'sector_bp' mode keeps the off-tree factors: when there are any,
-    loopy BP on the full clamped model (``max_iters``,
-    ``residual_threshold``) gives the marginals and the converged flag;
-    when there are none, the full model is the tree model and the exact
-    solve gives everything.
+    Each orbit is one ``hatcc_infer`` at tolerance 0 of the full model
+    with the base clamped to the orbit; its Z is the orbit's evidence and
+    its marginals are the orbit's.  ``tol`` sets only the orbit grouping.
+    ``mode`` must be "decomposition" or "sector_bp" and selects nothing:
+    both name this one exact path.  The status is "cap_exceeded" if any
+    orbit's solve is over the interface cap, "unsat" if the evidences sum
+    to zero, and "ok" otherwise; unless "ok", the weights are zero and the
+    marginals uniform.
     """
     if graph.semiring != "sum_product":
         raise ValueError("sector_infer requires the sum_product semiring")
@@ -182,51 +175,26 @@ def sector_infer(graph: FactorGraph,
     if decomposition is None:
         decomposition = decompose(graph, base, tol)
     dec = decomposition
-    unary, _pairwise = _pairwise_structure(graph)
-    tree_keep = sorted(set(unary) | set(dec.tree.tree_factors))
-    loopy = mode == "sector_bp" and bool(dec.tree.offtree_factors)
-
-    evidences: list[float] = []
-    all_marg: list[tuple[np.ndarray, ...]] = []
-    converged: list[bool] = []
-    iterations: list[int] = []
-    oscillating: list[bool] = []
-    for orbit in dec.orbits:
-        bel, Z, _deg = bp_engine.run_tree_exact(
-            _clamped_graph(graph, tree_keep, dec.base, orbit))
-        ok, iters, osc = True, 0, False
-        if loopy:
-            res = bp_engine.run(
-                _clamped_graph(graph, range(len(graph.factors)), dec.base,
-                               orbit),
-                max_iters=max_iters, residual_threshold=residual_threshold)
-            bel, ok = res.beliefs, res.converged
-            iters, osc = res.iterations, res.oscillating
-        evidences.append(Z)
-        all_marg.append(tuple(bel))
-        converged.append(ok)
-        iterations.append(iters)
-        oscillating.append(osc)
+    runs = [compile_mod.hatcc_infer(_clamped_graph(graph, dec.base, orbit))
+            for orbit in dec.orbits]
+    evidences = tuple(float(r.Z) for r in runs)
+    all_marg = tuple(r.marginals for r in runs)
 
     total = float(sum(evidences))
-    n_orbits = len(dec.orbits)
-    if total <= 0.0:
-        weights = tuple(0.0 for _ in range(n_orbits))
+    # a capped solve's Z is NaN, which the sum test would read as unsat
+    if any(r.status == "cap_exceeded" for r in runs):
+        status = "cap_exceeded"
+    else:
+        status = "ok" if total > 0.0 else "unsat"
+    if status == "ok":
+        weights = tuple(z / total for z in evidences)
+        marg = tuple(sum(w * m[v.id] for w, m in zip(weights, all_marg))
+                     for v in graph.variables)
+    else:
+        weights = (0.0,) * len(runs)
         marg = tuple(np.full(v.cardinality, 1.0 / v.cardinality)
                      for v in graph.variables)
-        return SectorResult(dec, mode, tuple(evidences), weights,
-                            tuple(all_marg), marg, tuple(converged), True,
-                            tuple(iterations), tuple(oscillating))
-    weights = tuple(z / total for z in evidences)
-    marg = []
-    for v in graph.variables:
-        acc = np.zeros(v.cardinality)
-        for w, sector_marg in zip(weights, all_marg):
-            acc += w * sector_marg[v.id]
-        marg.append(acc)
-    return SectorResult(dec, mode, tuple(evidences), weights,
-                        tuple(all_marg), tuple(marg), tuple(converged),
-                        False, tuple(iterations), tuple(oscillating))
+    return SectorResult(dec, evidences, weights, all_marg, marg, status)
 
 
 def sector_report_json(result: SectorResult) -> dict:
@@ -237,8 +205,5 @@ def sector_report_json(result: SectorResult) -> dict:
         "orbit_sizes": [len(o) for o in result.decomposition.orbits],
         "evidences": list(result.evidences),
         "weights": list(result.weights),
-        "converged": list(result.converged),
-        "iterations": list(result.iterations),
-        "oscillating": list(result.oscillating),
-        "unsat": result.unsat,
+        "status": result.status,
     }

@@ -123,7 +123,7 @@ class TestInfer:
         payload = json.loads(out)
         assert payload["status"] == "ok"
         assert payload["orbit_sizes"] == [1, 1]
-        assert len(payload["converged"]) == 2
+        assert len(payload["evidences"]) == 2
         assert [sum(m) for m in payload["marginals"]] == pytest.approx(
             [1.0] * 4)
 
@@ -212,28 +212,12 @@ class TestSweep:
             assert metrics.mean_tv(damped, plain) > 0.0
             assert float(row["mean_tv"]) == metrics.mean_tv(damped, truth)
 
-    def test_sectors_rows_honour_max_iters(self, tmp_path, capsys):
-        default = self.sweep_rows(capsys, "--methods", "sectors")
-        capped = self.sweep_rows(capsys, "--methods", "sectors",
-                                 "--max-iters", "1")
-        assert [r["converged"] for r in default] == ["1", "1"]
-        for row in capped:
-            seed = int(row["seed"])
-            truth = self.infer(tmp_path, capsys, seed, "oracle")["marginals"]
-            res = self.infer(tmp_path, capsys, seed, "sectors",
-                             "--max-iters", "1")
-            assert row["converged"] == str(int(all(res["converged"]))) == "0"
-            assert float(row["mean_tv"]) == metrics.mean_tv(
-                res["marginals"], truth)
-
-    def test_sectors_rows_report_bp_iterations(self, capsys):
-        capped = self.sweep_rows(capsys, "--methods", "sectors",
-                                 "--max-iters", "1")
-        assert [r["iterations"] for r in capped] == ["1", "1"]
-        default = self.sweep_rows(capsys, "--methods", "sectors")
-        for row in default:
-            assert 1 < int(row["iterations"]) < 200
-            assert row["oscillating"] == "0"
+    def test_sectors_rows_exact(self, capsys):
+        rows = self.sweep_rows(capsys, "--methods", "sectors")
+        assert len(rows) == 2
+        for row in rows:
+            assert row["status"] == "ok"
+            assert float(row["mean_tv"]) < 1e-10
 
     def test_unknown_method_exits_one(self, capsys):
         code, _out, err = run(capsys, "sweep", "--n", "4", "--seeds", "1",

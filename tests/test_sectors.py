@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hatcc import bp_engine, compile as compile_mod
 from hatcc.factor_graph import FactorDecl, FactorGraph, VariableDecl
 from hatcc.generators import gen_permutation_graph, gen_zk_sync
 from hatcc.holonomy import compose, transport_kernel
@@ -76,6 +79,12 @@ class TestVariableTree:
                         (FactorDecl(0, (0, 1, 2), [1.0] * 8),))
         with pytest.raises(ValueError, match="arity"):
             variable_tree(g, 0)
+
+    def test_base_out_of_range_rejected(self):
+        g = gen_zk_sync("cycle", 2, 0.1, 0.0, 0, n=5).graph
+        for base in (-1, 5):
+            with pytest.raises(ValueError, match=f"base {base} is not"):
+                decompose(g, base=base)
 
     def test_disconnected_rejected(self):
         g = FactorGraph("sum_product",
@@ -212,16 +221,89 @@ def test_report_counts_nontrivial_generators():
     assert rep["weights"] == pytest.approx(list(res.weights))
 
 
-def test_orbits_keep_bp_work():
-    # uncorrupted Z2 5-cycle: two orbits, each a loopy clamped model
+def test_one_hatcc_infer_per_orbit(monkeypatch):
+    calls = []
+    real = compile_mod.hatcc_infer
+
+    def counted(graph, *args, **kwargs):
+        calls.append((args, kwargs))
+        return real(graph, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sector_infer must not call bp_engine")
+
+    monkeypatch.setattr(compile_mod, "hatcc_infer", counted)
+    monkeypatch.setattr(bp_engine, "run", forbidden)
+    monkeypatch.setattr(bp_engine, "run_tree_exact", forbidden)
+    inst = gen_zk_sync("cycle", 3, 0.1, 0.0, 0, n=5)
+    res = sector_infer(inst.graph, tol=0.05)
+    assert len(res.decomposition.orbits) == 3
+    assert calls == [((), {})] * 3
+
+
+def test_capped_orbit_solve_sets_status(monkeypatch):
+    # a capped solve's Z is NaN; it must not read as a zero evidence
+    real = compile_mod.hatcc_infer
+    monkeypatch.setattr(compile_mod, "hatcc_infer",
+                        lambda graph: real(graph, cap=1))
     inst = gen_zk_sync("cycle", 2, 0.1, 0.0, 0, n=5)
-    capped = sector_infer(inst.graph, tol=0.05, max_iters=1)
-    assert capped.iterations == (1, 1)
-    assert capped.converged == (False, False)
-    rep = sector_report_json(capped)
-    assert rep["iterations"] == [1, 1]
-    assert rep["oscillating"] == [False, False]
-    # an exact tree run does not iterate
-    tree = sector_infer(chain(), mode="decomposition")
-    assert tree.iterations == (0,) * len(tree.decomposition.orbits)
-    assert tree.oscillating == (False,) * len(tree.decomposition.orbits)
+    res = sector_infer(inst.graph, tol=0.05)
+    assert res.status == "cap_exceeded" and not res.unsat
+    assert all(np.isnan(z) for z in res.evidences)
+    assert res.weights == (0.0,) * len(res.evidences)
+    for m in res.marginals:
+        np.testing.assert_allclose(m, [0.5, 0.5])
+
+
+def clamped(graph, base, orbit):
+    """The model times an indicator of the base lying in the orbit."""
+    clamp = np.zeros(graph.cardinality(base))
+    clamp[list(orbit)] = 1.0
+    return FactorGraph(graph.semiring, graph.variables, graph.factors + (
+        FactorDecl(len(graph.factors), (base,), clamp),))
+
+
+@st.composite
+def zk_with_fields(draw):
+    """Corrupted Z_k sync on cycles and random graphs, with unary fields
+    on some variables, a few of whose entries are hard zeros."""
+    k = draw(st.integers(2, 3))
+    seed = draw(st.integers(0, 2 ** 20))
+    g = gen_zk_sync(draw(st.sampled_from(("cycle", "random"))), k,
+                    draw(st.sampled_from((0.01, 0.1, 0.3))),
+                    draw(st.sampled_from((0.0, 0.5, 1.0))), seed,
+                    n=draw(st.integers(3, 9 if k == 2 else 6)), p=0.5).graph
+    rng = np.random.default_rng(seed)
+    p_field = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    p_zero = draw(st.sampled_from((0.0, 0.3)))
+    fields = []
+    for v in g.variables:
+        if rng.random() < p_field:
+            table = rng.uniform(0.1, 2.0, k) * (rng.random(k) >= p_zero)
+            fields.append(FactorDecl(len(g.factors) + len(fields), (v.id,),
+                                     table))
+    return FactorGraph(g.semiring, g.variables, g.factors + tuple(fields))
+
+
+@given(zk_with_fields(), st.sampled_from((0.0, 0.05)))
+@settings(max_examples=150, deadline=None)
+def test_sectors_match_oracle(g, tol):
+    """status "ok" => the recombined marginals and every orbit's evidence
+    are exact against the oracle, and the weights sum to one; an
+    all-zero model is "unsat"."""
+    res = sector_infer(g, tol=tol)
+    truth = exact_marginals(g)
+    assert res.status in ("ok", "unsat")
+    if res.status == "unsat":
+        assert truth.Z == 0.0
+    else:
+        for got, want in zip(res.marginals, truth.marginals):
+            assert 0.5 * np.abs(got - want).sum() < 1e-10
+        dec = res.decomposition
+        for orbit, z in zip(dec.orbits, res.evidences):
+            want = exact_marginals(clamped(g, dec.base, orbit)).Z
+            assert abs(z - want) <= 1e-10 * want
+        assert sum(res.weights) == pytest.approx(1.0, abs=1e-12)
+    zero = FactorGraph(g.semiring, g.variables, tuple(
+        FactorDecl(f.id, f.scope, 0.0 * f.table) for f in g.factors))
+    assert sector_infer(zero, tol=tol).status == "unsat"
