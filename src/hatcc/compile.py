@@ -513,7 +513,9 @@ def check_descent_datum(graph: FactorGraph, cover: Sequence[Sequence[int]],
                 continue
             a = restrict(local_tables[i], overlap, sr).table
             b = restrict(local_tables[j], overlap, sr).table
-            disc = float(np.abs(a - b).max())
+            # equal entries agree, equal infinities too (inf - inf is NaN)
+            diff = np.subtract(a, b, out=np.zeros(a.shape), where=a != b)
+            disc = float(np.abs(diff).max())
             if not disc < tolerance:
                 ok = False
             checks.append(OverlapCheck(i, j, overlap, disc))

@@ -2,11 +2,11 @@
 
 A spanning tree of the variable graph leaves one holonomy generator per
 off-tree edge, acting on the base variable's state space.  Orbits of the
-generated action partition that fiber.  Inference is cutset conditioning
-on the base (Pearl 1988, section 4.5): one exact ``hatcc_infer`` per
-orbit, of the full model with the base clamped to it, gives the orbit's
-evidence Z and marginals, recombined with the normalized evidences as
-weights.  Any grouping of the fiber recombines exactly.
+generated action partition that fiber.  Cutset conditioning on the base
+(Pearl 1988, section 4.5) solves once per orbit.  As ``hatcc_infer`` is
+exact on the loopy model and an orbit O's evidence, the Z of the model
+with the base clamped to O, is Z * P(x_base in O), one unclamped solve
+serves every orbit with no clamp.  Any grouping recombines exactly.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import compile as compile_mod
-from .factor_graph import FactorDecl, FactorGraph, validate_strict
+from .factor_graph import FactorGraph, validate_strict
 # compose and transport_kernel are no longer called here, but
 # perfbench/tracer.py wraps them under this module's name
 from .holonomy import (compose, is_identity, loop_holonomies,  # noqa: F401
@@ -50,8 +50,7 @@ class SectorResult:
     decomposition: SectorDecomposition
     evidences: tuple[float, ...]  # per orbit Z of the clamped model
     weights: tuple[float, ...]
-    per_orbit_marginals: tuple[tuple[np.ndarray, ...], ...]
-    marginals: tuple[np.ndarray, ...]  # recombined
+    marginals: tuple[np.ndarray, ...]
     status: str  # "ok" | "unsat" | "cap_exceeded"
 
     @property
@@ -77,6 +76,8 @@ def variable_tree(graph: FactorGraph,
     the smallest id.
     """
     n = len(graph.variables)
+    if n == 0:
+        raise ValueError("sector decomposition requires a variable")
     if base is not None and not 0 <= base < n:
         raise ValueError(f"base {base} is not a variable id 0..{n - 1}")
     pairwise = _pairwise_structure(graph)
@@ -144,29 +145,18 @@ def decompose(graph: FactorGraph, base: Optional[int] = None,
     return SectorDecomposition(tree.base, tree, tuple(gens), orbits)
 
 
-def _clamped_graph(graph: FactorGraph, base: int, orbit) -> FactorGraph:
-    """The model with a unary indicator clamping the base to the orbit."""
-    sr = graph.ops
-    clamp = np.full(graph.cardinality(base), sr.zero)
-    clamp[list(orbit)] = sr.one
-    return FactorGraph(graph.semiring, graph.variables, graph.factors + (
-        FactorDecl(len(graph.factors), (base,), clamp),))
-
-
 def sector_infer(graph: FactorGraph,
                  decomposition: Optional[SectorDecomposition] = None,
                  base: Optional[int] = None, mode: str = "sector_bp",
                  tol: float = 0.0) -> SectorResult:
-    """Per-orbit clamped inference and evidence-weighted recombination.
+    """Orbit evidences and weights read off one exact solve.
 
-    Each orbit is one ``hatcc_infer`` at tolerance 0 of the full model
-    with the base clamped to the orbit; its Z is the orbit's evidence and
-    its marginals are the orbit's.  ``tol`` sets only the orbit grouping.
-    ``mode`` must be "decomposition" or "sector_bp" and selects nothing:
-    both name this one exact path.  The status is "cap_exceeded" if any
-    orbit's solve is over the interface cap, "unsat" if the evidences sum
-    to zero, and "ok" otherwise; unless "ok", the weights are zero and the
-    marginals uniform.
+    One ``hatcc_infer`` at tolerance 0 of the unclamped model gives Z and
+    the marginals; an orbit's weight is its mass in the base marginal and
+    its evidence is Z times that mass.  ``tol`` sets only the orbit
+    grouping.  ``mode`` must be "decomposition" or "sector_bp" and selects
+    nothing.  The status is the solve's; unless "ok", the weights are zero
+    and the marginals uniform, and "cap_exceeded" makes every evidence NaN.
     """
     if graph.semiring != "sum_product":
         raise ValueError("sector_infer requires the sum_product semiring")
@@ -175,26 +165,12 @@ def sector_infer(graph: FactorGraph,
     if decomposition is None:
         decomposition = decompose(graph, base, tol)
     dec = decomposition
-    runs = [compile_mod.hatcc_infer(_clamped_graph(graph, dec.base, orbit))
-            for orbit in dec.orbits]
-    evidences = tuple(float(r.Z) for r in runs)
-    all_marg = tuple(r.marginals for r in runs)
-
-    total = float(sum(evidences))
-    # a capped solve's Z is NaN, which the sum test would read as unsat
-    if any(r.status == "cap_exceeded" for r in runs):
-        status = "cap_exceeded"
-    else:
-        status = "ok" if total > 0.0 else "unsat"
-    if status == "ok":
-        weights = tuple(z / total for z in evidences)
-        marg = tuple(sum(w * m[v.id] for w, m in zip(weights, all_marg))
-                     for v in graph.variables)
-    else:
-        weights = (0.0,) * len(runs)
-        marg = tuple(np.full(v.cardinality, 1.0 / v.cardinality)
-                     for v in graph.variables)
-    return SectorResult(dec, evidences, weights, all_marg, marg, status)
+    res = compile_mod.hatcc_infer(graph)
+    mass = tuple(float(res.marginals[dec.base][list(orbit)].sum())
+                 for orbit in dec.orbits)
+    evidences = tuple(float(res.Z) * m for m in mass)
+    weights = mass if res.status == "ok" else (0.0,) * len(mass)
+    return SectorResult(dec, evidences, weights, res.marginals, res.status)
 
 
 def sector_report_json(result: SectorResult) -> dict:
@@ -203,7 +179,9 @@ def sector_report_json(result: SectorResult) -> dict:
         "n_generators": len(result.decomposition.generators),
         "n_nontrivial_generators": result.decomposition.n_nontrivial,
         "orbit_sizes": [len(o) for o in result.decomposition.orbits],
-        "evidences": list(result.evidences),
+        # JSON has no NaN: a capped solve's evidences are null
+        "evidences": [None if np.isnan(z) else z
+                      for z in result.evidences],
         "weights": list(result.weights),
         "status": result.status,
     }

@@ -181,7 +181,7 @@ class TestSweep:
 
     # the instances the sweep tests run, seeds 0 and 1: uncorrupted Z2
     # 5-cycles, whose trivial holonomy splits the base fiber into two
-    # orbits, so each clamped sector model is loopy and not uniform
+    # orbits of a loopy model whose marginals are not uniform
     ZK = ("--topology", "cycle", "--n", "5", "--eps", "0")
 
     def sweep_rows(self, capsys, *flags):

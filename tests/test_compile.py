@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -474,6 +475,23 @@ class TestDescentDatum:
             rep = check_descent_datum(self._graph(), cover, tables,
                                       tolerance=1e-9)
             assert rep.compatible
+
+    def test_forbidden_overlap_state_compatible(self):
+        # min-sum restrictions of one table with x1 = 1 forbidden: the
+        # equal +inf entries on the overlap {1} are no discrepancy
+        sr = SEMIRINGS["min_sum"]
+        table = np.random.default_rng(0).uniform(0.1, 2.0, (2, 2, 2))
+        table[:, 1, :] = np.inf
+        full = PotentialSlice((0, 1, 2), table)
+        cover = [(0, 1), (1, 2)]
+        graph = FactorGraph("min_sum", self._graph(3).variables, ())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_descent_datum(graph, cover,
+                                      [restrict(full, p, sr) for p in cover],
+                                      tolerance=1e-9)
+        assert rep.compatible
+        assert [c.discrepancy for c in rep.overlaps] == [0.0]
 
     def test_chord_inconsistent_counterexample_fails(self):
         # pairwise beliefs around the frustrated 4-cycle: consistent on

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,8 @@ class TestVariableTree:
         for base in (-1, 5):
             with pytest.raises(ValueError, match=f"base {base} is not"):
                 decompose(g, base=base)
+        with pytest.raises(ValueError, match="requires a variable"):
+            decompose(FactorGraph("sum_product", (), ()))
 
     def test_disconnected_rejected(self):
         g = FactorGraph("sum_product",
@@ -221,12 +225,12 @@ def test_report_counts_nontrivial_generators():
     assert rep["weights"] == pytest.approx(list(res.weights))
 
 
-def test_one_hatcc_infer_per_orbit(monkeypatch):
+def test_one_hatcc_infer_per_call(monkeypatch):
     calls = []
     real = compile_mod.hatcc_infer
 
     def counted(graph, *args, **kwargs):
-        calls.append((args, kwargs))
+        calls.append((graph, args, kwargs))
         return real(graph, *args, **kwargs)
 
     def forbidden(*args, **kwargs):
@@ -238,7 +242,7 @@ def test_one_hatcc_infer_per_orbit(monkeypatch):
     inst = gen_zk_sync("cycle", 3, 0.1, 0.0, 0, n=5)
     res = sector_infer(inst.graph, tol=0.05)
     assert len(res.decomposition.orbits) == 3
-    assert calls == [((), {})] * 3
+    assert calls == [(inst.graph, (), {})]
 
 
 def test_capped_orbit_solve_sets_status(monkeypatch):
@@ -253,6 +257,9 @@ def test_capped_orbit_solve_sets_status(monkeypatch):
     assert res.weights == (0.0,) * len(res.evidences)
     for m in res.marginals:
         np.testing.assert_allclose(m, [0.5, 0.5])
+    rep = sector_report_json(res)
+    assert rep["evidences"] == [None] * len(res.evidences)
+    json.dumps(rep, allow_nan=False)
 
 
 def clamped(graph, base, orbit):
@@ -304,6 +311,12 @@ def test_sectors_match_oracle(g, tol):
             want = exact_marginals(clamped(g, dec.base, orbit)).Z
             assert abs(z - want) <= 1e-10 * want
         assert sum(res.weights) == pytest.approx(1.0, abs=1e-12)
+        one = compile_mod.hatcc_infer(g)
+        for got, want in zip(res.marginals, one.marginals):
+            np.testing.assert_array_equal(got, want)
+        base = one.marginals[dec.base]
+        assert res.weights == tuple(float(base[list(orbit)].sum())
+                                    for orbit in dec.orbits)
     zero = FactorGraph(g.semiring, g.variables, tuple(
         FactorDecl(f.id, f.scope, 0.0 * f.table) for f in g.factors))
     assert sector_infer(zero, tol=tol).status == "unsat"
