@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .factor_graph import FactorGraph, Semiring, validate_strict
-from .trees import UnionFind, bfs, calibrate
+from .trees import TableStacks, UnionFind, bfs, calibrate
 
 
 class Direction(enum.Enum):
@@ -229,8 +229,6 @@ class _Layout:
 
     def beliefs(self, sr: Semiring, state: list[np.ndarray]
                 ) -> tuple[list[np.ndarray], list[int]]:
-        if not sr.supports_division:
-            raise ValueError("beliefs require sum_product or max_product")
         out: list[np.ndarray] = [None] * self.n_vars
         degenerate: list[int] = []
         for c, b, vs, rows in self.var_groups:
@@ -302,14 +300,19 @@ def run(graph: FactorGraph, max_iters: int = 200,
 
     Messages are normalized after each sweep for numerical stability and
     the residual is the max L-inf distance between successive normalized
-    messages.  Non-convergence is a result, not an error.  A schedule
-    runs through ``step_scheduled`` on a dict view of the buffers.
+    messages; equal infinities are 0 apart, and a NaN makes it NaN.
+    ``damping`` in [0, 1) is the share of the old message kept.
+    Non-convergence is a result, not an error.  A schedule runs through
+    ``step_scheduled`` on a dict view of the buffers.
     """
+    if not 0.0 <= damping < 1.0:
+        raise ValueError(f"damping must be in [0, 1), got {damping}")
     validate_strict(graph)
     sr = graph.ops
     lay = _Layout(graph)
     m = [sr.normalize(blk) for blk in lay.initial(sr, init, seed)]
     trace: list[float] = []
+    finite = True  # m holds no infinity, so a - b meets no inf - inf
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
@@ -321,8 +324,13 @@ def run(graph: FactorGraph, max_iters: int = 200,
         if damping != 0.0:
             new = [(1.0 - damping) * a + damping * b for a, b in zip(new, m)]
         new = [sr.normalize(blk) for blk in new]
-        residual = max((np.abs(a - b).max() for a, b in zip(new, m)),
-                       default=0.0)
+        residual = 0.0
+        for a, b in zip(new, m):
+            diff = a - b if finite else np.subtract(
+                a, b, out=np.zeros(a.shape), where=a != b)
+            residual = np.abs(diff, out=diff).max(initial=residual)
+        # a finite residual from a finite m leaves the new m finite
+        finite = finite and residual < np.inf
         m = new
         trace.append(float(residual))
         if residual < residual_threshold:
@@ -434,7 +442,7 @@ def run_tree_exact(graph: FactorGraph):
     scopes += [(v.id,) for v in graph.variables]
     tables = [graph.factor_nd(f) for f in graph.factors]
     tables += [np.full(v.cardinality, sr.one) for v in graph.variables]
-    bel, Z = calibrate(sr, scopes, tables, _incidence(graph))
+    bel, Z = calibrate(sr, scopes, TableStacks.of(tables), _incidence(graph))
     degenerate = [v.id for v in graph.variables
                   if np.all(sr.is_zero(bel[m + v.id]))]
     return [sr.normalize(bel[m + v.id]) for v in graph.variables], Z, \

@@ -32,10 +32,9 @@ class Semiring:
     max-product, − with ∞−∞ = ∞ under min-sum, and the identity under
     Boolean, whose ``mul`` is idempotent).  Dividing a marginal by a
     factor it holds is then exact: a zero divisor forces a zero
-    dividend.  ``supports_division`` marks semirings where beliefs can
-    be normalized by dividing by their ``add``-total.
-    ``forbidden_rules`` pairs a description with an elementwise test for
-    table entries the semiring cannot hold (NaN is always forbidden).
+    dividend.  ``forbidden_rules`` pairs a description with an
+    elementwise test for table entries the semiring cannot hold (NaN is
+    always forbidden).
     """
 
     name: str
@@ -45,7 +44,6 @@ class Semiring:
     div: Callable[[np.ndarray, np.ndarray], np.ndarray]
     zero: float
     one: float
-    supports_division: bool
     forbidden_rules: tuple[tuple[str, Callable[[np.ndarray], np.ndarray]],
                            ...]
 
@@ -109,19 +107,19 @@ def _zero_safe(op, zero: float, one: float):
 SEMIRINGS: dict[str, Semiring] = {
     "sum_product": Semiring(
         "sum_product", np.add, np.multiply, np.add.reduce,
-        _zero_safe(np.divide, 0.0, 1.0), 0.0, 1.0, True, _WEIGHT_RULES),
+        _zero_safe(np.divide, 0.0, 1.0), 0.0, 1.0, _WEIGHT_RULES),
     "max_product": Semiring(
         "max_product", np.maximum, np.multiply, np.maximum.reduce,
-        _zero_safe(np.divide, 0.0, 1.0), 0.0, 1.0, True, _WEIGHT_RULES),
+        _zero_safe(np.divide, 0.0, 1.0), 0.0, 1.0, _WEIGHT_RULES),
     # tropical: zero = +inf, one = 0; +inf marks a forbidden state
     "min_sum": Semiring(
         "min_sum", np.minimum, np.add, np.minimum.reduce,
-        _zero_safe(np.subtract, np.inf, 0.0), np.inf, 0.0, False,
+        _zero_safe(np.subtract, np.inf, 0.0), np.inf, 0.0,
         (("-inf entry", np.isneginf),)),
     # boolean on {0,1}: add = OR, mul = AND
     "boolean": Semiring(
         "boolean", np.maximum, np.minimum, np.maximum.reduce,
-        lambda a, b: a, 0.0, 1.0, False,
+        lambda a, b: a, 0.0, 1.0,
         (("entry other than 0 or 1", lambda x: (x != 0.0) & (x != 1.0)),)),
 }
 

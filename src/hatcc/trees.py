@@ -4,10 +4,11 @@ stacks and exact calibration.
 ``calibrate`` is the one exact tree solver.  It runs Hugin's two passes
 (Jensen, Lauritzen & Olesen 1990) over a cluster forest in any
 semiring, a breadth-first level at a time, on tables stacked by shape
-(``TableStacks``); the messages of one level that share shapes and a
-separator placement go as one stacked block, and the downward pass
-divides with the semiring's zero-safe ``div``.  Its callers build the
-forest: the split-model junction tree of
+(``TableStacks``), in the caller's row order; the messages of one level
+that share shapes and a separator placement go as one stacked block,
+whose child and parent rows are both addressed through ``row_index``,
+and the downward pass divides with the semiring's zero-safe ``div``.
+Its callers build the forest: the split-model junction tree of
 ``compile.cluster_tree_propagate``, which every ``hatcc_infer`` run
 calibrates, and the bipartite factor graph of
 ``bp_engine.run_tree_exact``.
@@ -235,17 +236,14 @@ def to_parent(m: np.ndarray, at: Placement) -> np.ndarray:
 
 class _Messages:
     """The messages of one tree level that share a child stack, a parent
-    stack and a separator placement, sent as one block.
-
-    The children are one slice of their stack (``calibrate`` orders the
-    rows so); the parents are indexed as ``row_index`` says.
-    """
+    stack and a separator placement, sent as one block.  Children and
+    parents are both indexed as ``row_index`` says."""
     __slots__ = ("kc", "kp", "ci", "pi", "at")
 
-    def __init__(self, kc: int, kp: int, children: slice,
+    def __init__(self, kc: int, kp: int, child_rows: list[int],
                  parent_rows: list[int], at: Placement):
-        self.kc, self.kp, self.ci, self.at = kc, kp, children, at
-        self.pi = row_index(parent_rows)
+        self.kc, self.kp, self.at = kc, kp, at
+        self.ci, self.pi = row_index(child_rows), row_index(parent_rows)
 
     def up(self, sr: Semiring, arrays: list[np.ndarray]) -> np.ndarray:
         """Multiply each child's message into its parent; returns the
@@ -263,21 +261,21 @@ class _Messages:
         pm = sr.add_reduce(arrays[self.kp][self.pi], at.p_axes, keepdims=True)
         if at.to_c is not None:
             pm = pm.reshape(at.sep_p).transpose(at.to_c)
-        view = arrays[self.kc][self.ci]
-        sr.mul(view, sr.div(pm.reshape(at.c_shape), m), out=view)
+        mul_rows(sr, arrays[self.kc], self.ci,
+                 sr.div(pm.reshape(at.c_shape), m))
 
 
 def calibrate(sr: Semiring, scopes: Sequence[Sequence[int]],
-              tables: Union[TableStacks, Sequence[np.ndarray]],
+              tables: TableStacks,
               edges: Sequence[tuple[int, int, Sequence[int]]],
               roots: Sequence[int] = ()) -> tuple[TableStacks, float]:
     """Two-pass Hugin calibration of a cluster forest, a level at a time.
 
-    Cluster i holds ``tables[i]`` (a sequence, or ``TableStacks``), one
-    axis per variable of ``scopes[i]``.  ``edges`` are ``(a, b,
-    separator)`` triples and must form a forest.  Each component is
-    rooted at the first of ``roots`` it holds, else at its smallest
-    cluster, and the clusters are levelled by breadth-first depth.
+    Cluster i holds ``tables[i]``, one axis per variable of
+    ``scopes[i]``.  ``edges`` are ``(a, b, separator)`` triples and must
+    form a forest.  Each component is rooted at the first of ``roots``
+    it holds, else at its smallest cluster, and the clusters are
+    levelled by breadth-first depth.
 
     Upward, deepest level first, each child sends its table times its
     children's messages, restricted to the separator with the semiring
@@ -290,13 +288,12 @@ def calibrate(sr: Semiring, scopes: Sequence[Sequence[int]],
     and a separator placement go as one block: one gather, one reduce
     and one broadcast multiply, so a cluster of degree d costs O(d).
 
-    Returns the unnormalized beliefs, stacked by shape in scope axis
-    order, and Z: the semiring product, over the components, of each
-    root belief's semiring total.
+    Returns the unnormalized beliefs, in scope axis order, on a copy of
+    the stacks of ``tables`` with its ``stack`` and ``row`` lists
+    (``tables`` is left unchanged), and Z: the semiring product, over
+    the components, of each root belief's semiring total.
     """
-    if not isinstance(tables, TableStacks):
-        tables = TableStacks.of(tables)
-    stack = tables.stack
+    stack, row = tables.stack, tables.row
     adj: list[list] = [[] for _ in scopes]
     for a, b, sep in edges:
         adj[a].append((b, sep))
@@ -316,20 +313,9 @@ def calibrate(sr: Semiring, scopes: Sequence[Sequence[int]],
         key = (stack[node], stack[par], tuple(map(scopes[node].index, sep)),
                tuple(map(scopes[par].index, sep)))
         levels[d].setdefault(key, []).append(node)
-    # renumber each stack's rows level by level and block by block, so
-    # that a block's children are one slice; the copy is the gather
-    row = [0] * len(scopes)
-    take: list[list[int]] = [[] for _ in tables.arrays]
-    for level in levels:
-        for nodes in level.values():
-            for node in nodes:
-                t = take[stack[node]]
-                row[node] = len(t)
-                t.append(tables.row[node])
-    arrays = [a[t] for a, t in zip(tables.arrays, take)]
+    arrays = [a.copy() for a in tables.arrays]
     shapes = [a.shape[1:] for a in arrays]
-    blocks = [[_Messages(kc, kp, slice(row[nodes[0]],
-                                       row[nodes[0]] + len(nodes)),
+    blocks = [[_Messages(kc, kp, [row[n] for n in nodes],
                          [row[parent[n]] for n in nodes],
                          placement(shapes[kc], shapes[kp], cpos, ppos))
                for (kc, kp, cpos, ppos), nodes in level.items()]
@@ -340,8 +326,7 @@ def calibrate(sr: Semiring, scopes: Sequence[Sequence[int]],
             b.down(sr, arrays, m)
     Z = sr.one
     for k, nodes in levels[0].items():
-        first = row[nodes[0]]
-        block = arrays[k][first:first + len(nodes)]
+        block = arrays[k][row_index([row[n] for n in nodes])]
         Z = sr.mul(Z, sr.mul.reduce(sr.add_reduce(
             block, tuple(range(1, block.ndim)))))
     return TableStacks(arrays, stack, row), float(Z)

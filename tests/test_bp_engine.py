@@ -127,6 +127,13 @@ class TestRun:
         assert res.oscillating
         assert res.iterations == 200
 
+    @pytest.mark.parametrize("damping", (1.0, 1.5))
+    def test_damping_outside_unit_interval_rejected(self, damping):
+        # at 1.0 no message moves, so the first residual reads 0; above 1
+        # the beliefs go negative
+        with pytest.raises(ValueError, match=f"got {damping}"):
+            bp.run(chain_two_vars(), damping=damping)
+
     def test_zero_budget_returns_initial_state(self):
         res = bp.run(chain_two_vars(), max_iters=0)
         assert not res.converged
@@ -150,6 +157,24 @@ class TestBeliefs:
                         (FactorDecl(0, (0,), [0.0, 0.0]),))
         res = bp.run(g)
         assert res.degenerate == (0,)
+
+    @pytest.mark.parametrize("semiring", ("min_sum", "boolean"))
+    def test_chain_with_forbidden_state_matches_tree_exact(self, semiring):
+        # the forbidden state keeps an infinite entry in min-sum messages
+        sr = SEMIRINGS[semiring]
+        r = np.random.default_rng(4)
+        factors = [FactorDecl(0, (0,), [sr.one, sr.zero, sr.one])]
+        for i in range(4):
+            t = r.uniform(0.1, 3.0, 9)
+            t = -np.log(t) if semiring == "min_sum" else (t > 1.8) * 1.0
+            factors.append(FactorDecl(i + 1, (i, i + 1), t))
+        g = FactorGraph(semiring, tuple(VariableDecl(i, 3) for i in range(5)),
+                        tuple(factors))
+        res = bp.run(g)
+        want, _Z, degenerate = bp.run_tree_exact(g)
+        assert res.converged and degenerate == []
+        for got, w in zip(res.beliefs, want):
+            np.testing.assert_allclose(got, w, rtol=0.0, atol=1e-12)
 
     def test_tree_beliefs_match_oracle(self):
         for seed in range(10):
@@ -275,8 +300,10 @@ def reference_run(g, max_iters=200, threshold=1e-6, damping=0.0,
         if damping != 0.0:
             new = {h: (1.0 - damping) * new[h] + damping * m[h] for h in new}
         new = {h: sr.normalize(v) for h, v in new.items()}
-        residual = max((np.abs(new[h] - m[h]).max() for h in new),
-                       default=0.0)
+        # equal entries, infinite ones too, are 0 apart; NaN stays NaN
+        residual = np.max([np.abs(np.subtract(
+            new[h], m[h], out=np.zeros(m[h].shape),
+            where=new[h] != m[h])).max() for h in new], initial=0.0)
         m = new
         trace.append(float(residual))
         if residual < threshold:
@@ -346,7 +373,7 @@ class TestFlatEngine:
         m = dict(reversed(list(random_messages(g, 0).items())))
         assert list(bp.step_parallel(g, m)) == list(m)
 
-    @pytest.mark.parametrize("semiring", ("sum_product", "max_product"))
+    @pytest.mark.parametrize("semiring", SEMIRING_NAMES)
     @pytest.mark.parametrize("kwargs", [
         {}, {"damping": 0.5}, {"init": "random", "seed": 11},
         {"max_iters": 0}, {"max_iters": 7, "init": "random", "seed": 2}])

@@ -111,6 +111,12 @@ class TestInfer:
         payload = json.loads(out)
         assert {"converged", "oscillating", "iterations"} <= set(payload)
 
+    def test_bp_damping_of_one_exits_one(self, even_cycle, capsys):
+        code, _out, err = run(capsys, "infer", even_cycle, "--method", "bp",
+                              "--damping", "1")
+        assert code == 1
+        assert "damping must be in [0, 1), got 1.0" in err
+
     def test_missing_file_exits_one(self, capsys):
         code, _out, err = run(capsys, "infer", "/nonexistent.json",
                               "--method", "bp")

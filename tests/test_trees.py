@@ -1,6 +1,7 @@
 """The exact tree path under min-sum and max-product, against enumeration;
 the cost of calibration; and ``calibrate`` against enumeration on random
-cluster forests in all four semirings."""
+cluster forests and on a forest whose blocks sit in non-consecutive
+rows, in all four semirings."""
 import dataclasses
 
 import numpy as np
@@ -10,7 +11,7 @@ from hatcc import bp_engine as bp
 from hatcc.compile import hatcc_infer
 from hatcc.factor_graph import SEMIRINGS, FactorDecl, FactorGraph, VariableDecl
 from hatcc.oracle import exact_map
-from hatcc.trees import UnionFind, calibrate
+from hatcc.trees import TableStacks, UnionFind, calibrate
 
 
 def chain(seed: int, n: int, semiring: str) -> FactorGraph:
@@ -101,7 +102,7 @@ def test_calibrate_multiplies_linear_in_cluster_degree():
         mul = CountingUfunc(np.multiply)
         sr = dataclasses.replace(SEMIRINGS["sum_product"], mul=mul)
         tables = list(np.random.default_rng(d).uniform(0.5, 2.0, (d + 1, 2)))
-        beliefs, Z = calibrate(sr, [(0,)] * (d + 1), tables,
+        beliefs, Z = calibrate(sr, [(0,)] * (d + 1), TableStacks.of(tables),
                                [(0, i, (0,)) for i in range(1, d + 1)])
         for b in beliefs:
             np.testing.assert_allclose(b, np.prod(tables, axis=0),
@@ -207,8 +208,36 @@ def test_calibrate_matches_enumeration_on_random_forests():
                     pick[scopes[child].index(sep[0])] = 0
                     tables[child][tuple(pick)] = sr.zero
             want, want_Z = enumerated_beliefs(sr, cards, scopes, tables, edges)
-            got, Z = calibrate(sr, scopes, tables, edges, roots)
+            stacks = TableStacks.of(tables)
+            got, Z = calibrate(sr, scopes, stacks, edges, roots)
+            # the caller's stacks are left as they were, and the beliefs
+            # keep their layout
+            for t, s in zip(tables, stacks):
+                np.testing.assert_array_equal(s, t)
+            assert (got.stack, got.row) == (stacks.stack, stacks.row)
             assert len(got) == len(scopes)
+            np.testing.assert_allclose(Z, want_Z, rtol=1e-12)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-300,
+                                           err_msg=f"{semiring} {seed}")
+
+
+def test_calibrate_matches_enumeration_on_non_consecutive_rows():
+    # clusters 1 and 3 are the root's children, one block of level 1, and
+    # cluster 2, a grandchild of the same shape, sits between them in
+    # their stack; both children hang off one parent row
+    cards = [2, 3, 2, 2, 3]
+    scopes = [(0, 1), (1, 2), (4, 2), (1, 3)]
+    edges = [(0, 1, (1,)), (1, 2, (2,)), (0, 3, (1,))]
+    for semiring, sr in SEMIRINGS.items():
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            tables = [random_table(rng, sr, tuple(cards[v] for v in s))
+                      for s in scopes]
+            stacks = TableStacks.of(tables)
+            assert [stacks.row[c] for c in (1, 2, 3)] == [0, 1, 2]
+            want, want_Z = enumerated_beliefs(sr, cards, scopes, tables, edges)
+            got, Z = calibrate(sr, scopes, stacks, edges, [0])
             np.testing.assert_allclose(Z, want_Z, rtol=1e-12)
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-300,
