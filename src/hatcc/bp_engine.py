@@ -301,18 +301,22 @@ def run(graph: FactorGraph, max_iters: int = 200,
     Messages are normalized after each sweep for numerical stability and
     the residual is the max L-inf distance between successive normalized
     messages; equal infinities are 0 apart, and a NaN makes it NaN.
-    ``damping`` in [0, 1) is the share of the old message kept.
-    Non-convergence is a result, not an error.  A schedule runs through
-    ``step_scheduled`` on a dict view of the buffers.
+    ``damping`` in [0, 1) is the share of the old message kept.  Under
+    Boolean, damping must be 0 and ``init`` 'ones': a damped or random
+    message holds fractions.  Non-convergence is a result, not an error.
+    A schedule runs through ``step_scheduled`` on a dict view of the
+    buffers.
     """
     if not 0.0 <= damping < 1.0:
         raise ValueError(f"damping must be in [0, 1), got {damping}")
     validate_strict(graph)
     sr = graph.ops
+    if sr.name == "boolean" and (damping != 0.0 or init != "ones"):
+        raise ValueError("Boolean BP needs damping 0 and init 'ones', got "
+                         f"damping={damping}, init={init!r}")
     lay = _Layout(graph)
     m = [sr.normalize(blk) for blk in lay.initial(sr, init, seed)]
     trace: list[float] = []
-    finite = True  # m holds no infinity, so a - b meets no inf - inf
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):
@@ -326,11 +330,8 @@ def run(graph: FactorGraph, max_iters: int = 200,
         new = [sr.normalize(blk) for blk in new]
         residual = 0.0
         for a, b in zip(new, m):
-            diff = a - b if finite else np.subtract(
-                a, b, out=np.zeros(a.shape), where=a != b)
+            diff = np.subtract(a, b, out=np.zeros(a.shape), where=a != b)
             residual = np.abs(diff, out=diff).max(initial=residual)
-        # a finite residual from a finite m leaves the new m finite
-        finite = finite and residual < np.inf
         m = new
         trace.append(float(residual))
         if residual < residual_threshold:
