@@ -279,9 +279,8 @@ OSCILLATION_PERIODS = range(2, 11)
 OSCILLATION_DEVIATION = 1e-8
 
 
-def _detect_oscillation(trace: Sequence[float], threshold: float) -> bool:
-    """Periodic residual trace over the last window of an unconverged
-    run, whose last residual is therefore not below ``threshold``."""
+def _detect_oscillation(trace: Sequence[float]) -> bool:
+    """A periodic residual trace over the last window of a run."""
     if len(trace) < OSCILLATION_WINDOW:
         return False
     window = np.asarray(trace[-OSCILLATION_WINDOW:])
@@ -301,19 +300,27 @@ def run(graph: FactorGraph, max_iters: int = 200,
     Messages are normalized after each sweep for numerical stability and
     the residual is the max L-inf distance between successive normalized
     messages; equal infinities are 0 apart, and a NaN makes it NaN.
-    ``damping`` in [0, 1) is the share of the old message kept.  Under
-    Boolean, damping must be 0 and ``init`` 'ones': a damped or random
-    message holds fractions.  Non-convergence is a result, not an error.
-    A schedule runs through ``step_scheduled`` on a dict view of the
-    buffers.
+    ``damping`` in [0, 1) is the share of the old message kept; the run
+    stops once the residual is below ``residual_threshold * (1 -
+    damping)``, which bounds the undamped step.  Where ``forbidden``
+    rejects a fraction (Boolean), damping must be 0 and ``init`` 'ones'.
+    ``max_iters`` must be >= 0 and ``residual_threshold`` positive.
+    Non-convergence is a result, not an error.  A schedule runs through
+    ``step_scheduled`` on a dict view of the buffers.
     """
     if not 0.0 <= damping < 1.0:
         raise ValueError(f"damping must be in [0, 1), got {damping}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    if not residual_threshold > 0.0:
+        raise ValueError("residual_threshold must be positive, got "
+                         f"{residual_threshold}")
     validate_strict(graph)
     sr = graph.ops
-    if sr.name == "boolean" and (damping != 0.0 or init != "ones"):
-        raise ValueError("Boolean BP needs damping 0 and init 'ones', got "
-                         f"damping={damping}, init={init!r}")
+    if sr.forbidden(np.array([0.5])) and (damping != 0.0 or init != "ones"):
+        raise ValueError(f"{sr.name} holds no fraction, so BP needs damping "
+                         f"0 and init 'ones', got damping={damping}, "
+                         f"init={init!r}")
     lay = _Layout(graph)
     m = [sr.normalize(blk) for blk in lay.initial(sr, init, seed)]
     trace: list[float] = []
@@ -334,11 +341,10 @@ def run(graph: FactorGraph, max_iters: int = 200,
             residual = np.abs(diff, out=diff).max(initial=residual)
         m = new
         trace.append(float(residual))
-        if residual < residual_threshold:
+        if residual < residual_threshold * (1.0 - damping):
             converged = True
             break
-    oscillating = (not converged) and _detect_oscillation(
-        trace, residual_threshold)
+    oscillating = (not converged) and _detect_oscillation(trace)
     bel, degen = lay.beliefs(sr, m)
     return BPResult(lay.unpack(m, lay.half_edges), tuple(bel), tuple(degen),
                     iters, converged, oscillating, tuple(trace))

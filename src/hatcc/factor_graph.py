@@ -22,11 +22,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Semiring:
-    """A commutative semiring on float64 values.
+    """A commutative semiring on float64 values, given by its operations.
 
     ``add`` and ``mul`` are numpy ufuncs, so ``mul.at`` and ``out=``
-    apply; ``add_reduce`` is ``add.reduce``, folding ``add`` along the
-    given axes.  ``div`` is the zero-safe quotient that undoes ``mul``:
+    apply; ``add_reduce`` is set to ``add.reduce``, folding ``add`` along
+    the given axes.  ``div`` is the zero-safe quotient that undoes ``mul``:
     ``div(mul(a, b), b) == a`` wherever b is not the semiring zero, and
     zero divided by zero is zero (÷ with 0/0 = 0 under sum- and
     max-product, − with ∞−∞ = ∞ under min-sum, and the identity under
@@ -40,12 +40,14 @@ class Semiring:
     name: str
     add: Callable[[np.ndarray, np.ndarray], np.ndarray]
     mul: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    add_reduce: Callable[..., np.ndarray]
     div: Callable[[np.ndarray, np.ndarray], np.ndarray]
     zero: float
     one: float
     forbidden_rules: tuple[tuple[str, Callable[[np.ndarray], np.ndarray]],
                            ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "add_reduce", self.add.reduce)
 
     def forbidden(self, table: np.ndarray) -> list[str]:
         """Descriptions of the forbidden entries in ``table``, if any.
@@ -62,35 +64,27 @@ class Semiring:
         """Support predicate: True where x counts as the semiring zero.
 
         Exact comparison by default; ``tol`` treats entries within ``tol``
-        of zero as zero (an escape hatch for noisy inputs).  For min-sum,
-        zero is +inf and tolerance has no sensible scale, so only +inf
-        is zero.
+        of zero as zero (an escape hatch for noisy inputs).  An infinite
+        zero (min-sum's +inf) gives tolerance no sensible scale, so only
+        the zero itself counts.
         """
         x = np.asarray(x, dtype=np.float64)
-        if tol == 0.0 or self.name == "min_sum":
+        if tol == 0.0 or math.isinf(self.zero):
             return x == self.zero
         return np.abs(x - self.zero) <= tol
 
     def normalize(self, vec: np.ndarray) -> np.ndarray:
         """Rescale a message/belief vector for numerical stability.
 
-        Sum to one (sum-product), max to one (max-product / boolean),
-        subtract the min (min-sum).  A stacked array is normalized row
-        by row along its last axis.  Degenerate rows are returned
-        unchanged: all-zero rows, and min-sum rows whose min is not
-        finite.
+        ``div`` by the row's ``add_reduce`` total: sum to one
+        (sum-product), max to one (max-product), subtract the min
+        (min-sum); under Boolean ``div`` is the identity.  A stacked
+        array is normalized row by row along its last axis.  A row whose
+        total is the semiring zero comes back unchanged, since ``div``
+        by the zero leaves it.
         """
         vec = np.asarray(vec, dtype=np.float64)
-        if self.name == "min_sum":
-            m = vec.min(axis=-1, keepdims=True)
-            m[~np.isfinite(m)] = 0.0
-            return vec - m
-        if self.name == "sum_product":
-            total = vec.sum(axis=-1, keepdims=True)
-        else:
-            total = vec.max(axis=-1, keepdims=True)
-        total[~(total > 0.0)] = 1.0
-        return vec / total
+        return self.div(vec, self.add_reduce(vec, axis=-1, keepdims=True))
 
 
 # product semirings take finite nonnegative weights
@@ -106,20 +100,19 @@ def _zero_safe(op, zero: float, one: float):
 
 SEMIRINGS: dict[str, Semiring] = {
     "sum_product": Semiring(
-        "sum_product", np.add, np.multiply, np.add.reduce,
+        "sum_product", np.add, np.multiply,
         _zero_safe(np.divide, 0.0, 1.0), 0.0, 1.0, _WEIGHT_RULES),
     "max_product": Semiring(
-        "max_product", np.maximum, np.multiply, np.maximum.reduce,
+        "max_product", np.maximum, np.multiply,
         _zero_safe(np.divide, 0.0, 1.0), 0.0, 1.0, _WEIGHT_RULES),
     # tropical: zero = +inf, one = 0; +inf marks a forbidden state
     "min_sum": Semiring(
-        "min_sum", np.minimum, np.add, np.minimum.reduce,
+        "min_sum", np.minimum, np.add,
         _zero_safe(np.subtract, np.inf, 0.0), np.inf, 0.0,
         (("-inf entry", np.isneginf),)),
     # boolean on {0,1}: add = OR, mul = AND
     "boolean": Semiring(
-        "boolean", np.maximum, np.minimum, np.maximum.reduce,
-        lambda a, b: a, 0.0, 1.0,
+        "boolean", np.maximum, np.minimum, lambda a, b: a, 0.0, 1.0,
         (("entry other than 0 or 1", lambda x: (x != 0.0) & (x != 1.0)),)),
 }
 

@@ -6,7 +6,7 @@ from hatcc import bp_engine as bp
 from hatcc.bp_engine import Direction, HalfEdge
 from hatcc.factor_graph import (SEMIRINGS, FactorDecl, FactorGraph,
                                 VariableDecl)
-from hatcc.generators import gen_four_cycle
+from hatcc.generators import gen_four_cycle, gen_grid_mrf
 from hatcc.oracle import exact_marginals
 
 
@@ -133,6 +133,23 @@ class TestRun:
         # the beliefs go negative
         with pytest.raises(ValueError, match=f"got {damping}"):
             bp.run(chain_two_vars(), damping=damping)
+
+    def test_heavy_damping_does_not_stop_early(self):
+        # a step of 1e-6 of the undamped one reads a residual far below
+        # the threshold long before the messages reach the fixed point
+        g = gen_grid_mrf(3, 3, 1.4, 0.5, 0)
+        assert not bp.run(g, damping=0.999999).converged
+        res, ref = bp.run(g, damping=0.5), bp.run(g)
+        assert res.converged
+        for a, b in zip(res.beliefs, ref.beliefs):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-6)
+
+    def test_negative_budget_and_nonpositive_threshold_rejected(self):
+        with pytest.raises(ValueError, match="max_iters must be >= 0, got -3"):
+            bp.run(chain_two_vars(), max_iters=-3)
+        for t in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match=f"positive, got {t}"):
+                bp.run(chain_two_vars(), residual_threshold=t)
 
     def test_zero_budget_returns_initial_state(self):
         res = bp.run(chain_two_vars(), max_iters=0)
@@ -306,7 +323,7 @@ def reference_run(g, max_iters=200, threshold=1e-6, damping=0.0,
             where=new[h] != m[h])).max() for h in new], initial=0.0)
         m = new
         trace.append(float(residual))
-        if residual < threshold:
+        if residual < threshold * (1.0 - damping):
             converged = True
             break
     if max_iters == 0:
@@ -317,7 +334,7 @@ def reference_run(g, max_iters=200, threshold=1e-6, damping=0.0,
         for f in g.var_neighbors(v.id):
             b = sr.mul(b, m[HalfEdge(f, v.id, Direction.FAC_TO_VAR)])
         bel.append(sr.normalize(b))
-    oscillating = not converged and bp._detect_oscillation(trace, threshold)
+    oscillating = not converged and bp._detect_oscillation(trace)
     return iters, converged, oscillating, trace, bel
 
 
@@ -380,7 +397,8 @@ class TestFlatEngine:
     def test_run_matches_reference_loop(self, semiring, kwargs):
         if semiring == "boolean" and ("damping" in kwargs or "init" in kwargs):
             # a damped or random Boolean message would hold fractions
-            with pytest.raises(ValueError, match="Boolean BP needs damping 0"):
+            with pytest.raises(ValueError,
+                               match="needs damping 0 and init 'ones'"):
                 bp.run(in_semiring(random_graph(0), semiring), **kwargs)
             return
         for seed in range(8):

@@ -117,6 +117,12 @@ class TestInfer:
         assert code == 1
         assert "damping must be in [0, 1), got 1.0" in err
 
+    def test_bp_negative_max_iters_exits_one(self, even_cycle, capsys):
+        code, _out, err = run(capsys, "infer", even_cycle, "--method", "bp",
+                              "--max-iters", "-3")
+        assert code == 1
+        assert "max_iters must be >= 0, got -3" in err
+
     def test_missing_file_exits_one(self, capsys):
         code, _out, err = run(capsys, "infer", "/nonexistent.json",
                               "--method", "bp")

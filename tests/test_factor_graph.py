@@ -193,6 +193,39 @@ class TestSemiringAxioms:
         assert mul(a, sr.zero) == sr.zero or np.isnan(mul(a, sr.zero))
 
 
+def per_name_normalize(name, vec):
+    """The per-name rule ``normalize`` replaced: sum or max to one,
+    subtract the min under min-sum; all-zero rows and min-sum rows with
+    no finite min unchanged."""
+    vec = np.asarray(vec, dtype=np.float64)
+    if name == "min_sum":
+        m = vec.min(axis=-1, keepdims=True)
+        m[~np.isfinite(m)] = 0.0
+        return vec - m
+    if name == "sum_product":
+        total = vec.sum(axis=-1, keepdims=True)
+    else:
+        total = vec.max(axis=-1, keepdims=True)
+    total[~(total > 0.0)] = 1.0
+    return vec / total
+
+
+def carrier_rows(name):
+    """Rows of values ``name`` can hold, the degenerate ones included."""
+    if name == "boolean":
+        return np.array([[(i >> b) & 1 for b in range(3)]
+                         for i in range(8)], dtype=np.float64)
+    rows = np.random.default_rng(0).uniform(0.0, 3.0, (6, 3))
+    rows[1, 0] = rows[2, :2] = 0.0
+    rows[3] = 0.0
+    rows = np.vstack([rows, [[1e-300, 5e-324, 0.0], [1.7e308, 1.7e308, 1.0]]])
+    if name == "min_sum":
+        rows = np.vstack([rows - 1.5, [[np.inf, 2.0, -0.5],
+                                       [np.inf, np.inf, 0.0],
+                                       [np.inf, np.inf, np.inf]]])
+    return rows
+
+
 class TestNormalize:
     @pytest.mark.parametrize("name", sorted(SEMIRINGS))
     def test_stacked_rows_match_vectors(self, name):
@@ -220,6 +253,38 @@ class TestNormalize:
         np.testing.assert_array_equal(
             SEMIRINGS["min_sum"].normalize([[2.0, 3.0], [np.inf, np.inf]]),
             [[0.0, 1.0], [np.inf, np.inf]])
+
+    @pytest.mark.parametrize("name", sorted(SEMIRINGS))
+    def test_equals_per_name_rule_bitwise(self, name):
+        rows = carrier_rows(name)
+        for stacked in (rows, rows.reshape(-1, 1, 3), rows[0]):
+            with np.errstate(over="ignore"):  # a total may overflow to inf
+                got = SEMIRINGS[name].normalize(stacked)
+                want = per_name_normalize(name, stacked)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_nan_row_comes_out_all_nan(self):
+        # outside every carrier: validate rejects NaN
+        row = [np.nan, 1.0, 2.0]
+        for name in ("sum_product", "max_product", "min_sum"):
+            assert np.isnan(SEMIRINGS[name].normalize(row)).all()
+        np.testing.assert_array_equal(SEMIRINGS["boolean"].normalize(row),
+                                      row)
+
+    def test_fractional_boolean_row_passes_unscaled(self):
+        # outside Boolean's carrier, which validate and run reject
+        np.testing.assert_array_equal(
+            SEMIRINGS["boolean"].normalize([0.5, 0.25]), [0.5, 0.25])
+
+    def test_min_sum_tolerance_marks_only_inf_zero(self):
+        got = SEMIRINGS["min_sum"].is_zero([np.inf, 0.0, 0.4, 1e308], tol=0.5)
+        np.testing.assert_array_equal(got, [True, False, False, False])
+
+    @pytest.mark.parametrize("name", sorted(SEMIRINGS))
+    def test_add_reduce_is_add_reduce(self, name):
+        sr = SEMIRINGS[name]
+        assert sr.add_reduce == sr.add.reduce
 
 
 class TestVarNeighbors:
